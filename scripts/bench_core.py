@@ -9,24 +9,21 @@ Two modes:
     MEM-heavy Figure 4 cells under the fast and reference cores at the
     paper's memory latency and at the far-memory stress latency with
     per-cell speedups, plus the ``"grid"`` section — a fig4-style sweep
-    grid timed end to end under the three lanes (per-cell hermetic fast,
-    per-cell shared-cache fast, lockstep batched; see
+    grid timed end to end under two lanes (per-cell hermetic fast and
+    per-cell fast sharing the in-process SingleIPC cache; see
     :func:`repro.experiments.profiling.bench_grid`).  Takes several
     minutes on the paper machine config.
 
 ``python scripts/bench_core.py --check``
-    CI smoke, three legs.  First one MEM-heavy Figure 4 cell (art-mcf
+    CI smoke, two legs.  First one MEM-heavy Figure 4 cell (art-mcf
     under FLUSH) at the stress latency on a trimmed window, asserting
     the fast core's KIPS is at least the reference core's — that cell's
     true speedup is ~2x, so the >= 1.0 gate has a wide margin against
-    CI-runner noise.  Then a four-cell MEM2 grid through all three
-    lanes, asserting the lanes stayed byte-identical (bench_grid raises
-    otherwise) and the batched pack's aggregate KIPS is at least the
-    hermetic fast lane's.  Finally the same grid as one *supervised*
-    pack (the PackSupervisor path of ``repro sweep --batch-cells``),
-    asserting supervision overhead does not surrender the pack's
-    throughput win over hermetic fast.  Exits 1 with a diagnostic on
-    failure.
+    CI-runner noise.  Then a four-cell MEM2 grid through both lanes,
+    asserting the lanes stayed byte-identical (bench_grid raises
+    otherwise) and the shared-solo ``fast-serial`` lane's aggregate
+    KIPS is at least the hermetic fast lane's.  Exits 1 with a
+    diagnostic on failure.
 """
 
 import argparse
@@ -45,7 +42,7 @@ from repro.experiments.profiling import (  # noqa: E402
 
 
 def run_check(epochs, warmup):
-    """One stress cell, both cores, then a small three-lane grid."""
+    """One stress cell, both cores, then a small two-lane grid."""
     document = bench_document(epochs=epochs, warmup=warmup,
                               cells=(("art-mcf", "FLUSH"),),
                               mem_latencies=(STRESS_MEM_LATENCY,),
@@ -70,74 +67,23 @@ def run_check(epochs, warmup):
               file=sys.stderr)
         return 1
     print("[bench] OK: fast-core speedup %.2fx" % cell["speedup"])
-    # Leg two: the batched lane on a small MEM-bound grid.  bench_grid
+    # Leg two: solo sharing on a small MEM-bound grid.  bench_grid
     # raises if the lanes' results diverge, so reaching the KIPS gate
     # already proves byte-identity.
     grid = bench_grid(epochs=epochs, warmup=warmup, groups=("MEM2",),
                       policies=("ICOUNT", "FLUSH"), workloads_per_group=2,
                       progress=lambda line: print("[bench] " + line))
-    fast_lane, batched = grid["lanes"]["fast"], grid["lanes"]["batched"]
-    print("[bench] grid (%d cells): fast %.1f KIPS vs batched %.1f KIPS"
-          % (grid["cells"], fast_lane["kips"], batched["kips"]))
-    if batched["kips"] < fast_lane["kips"]:
-        print("error: batched lane slower than hermetic fast "
+    fast_lane, serial = grid["lanes"]["fast"], grid["lanes"]["fast-serial"]
+    print("[bench] grid (%d cells): fast %.1f KIPS vs fast-serial %.1f KIPS"
+          % (grid["cells"], fast_lane["kips"], serial["kips"]))
+    if serial["kips"] < fast_lane["kips"]:
+        print("error: fast-serial lane slower than hermetic fast "
               "(%.1f < %.1f aggregate KIPS) on the MEM2 smoke grid"
-              % (batched["kips"], fast_lane["kips"]), file=sys.stderr)
+              % (serial["kips"], fast_lane["kips"]), file=sys.stderr)
         return 1
-    print("[bench] OK: batched-lane speedup %.2fx"
-          % batched["speedup_vs_fast"])
-    # Leg three: the same grid through the supervised batched lane (the
-    # PackSupervisor path `repro sweep --batch-cells` now always takes).
-    # Supervision must not eat the pack's throughput win.
-    supervised = supervised_batched_kips(epochs=epochs, warmup=warmup)
-    print("[bench] grid (%d cells): supervised-batched %.1f KIPS"
-          % (grid["cells"], supervised["kips"]))
-    if supervised["committed"] != batched["committed"]:
-        print("error: supervised-batched lane disagrees on simulated "
-              "work: %d committed vs %d"
-              % (supervised["committed"], batched["committed"]),
-              file=sys.stderr)
-        return 1
-    if supervised["kips"] < fast_lane["kips"]:
-        print("error: supervised-batched lane slower than hermetic fast "
-              "(%.1f < %.1f aggregate KIPS) on the MEM2 smoke grid"
-              % (supervised["kips"], fast_lane["kips"]), file=sys.stderr)
-        return 1
-    print("[bench] OK: supervised-batched keeps the pack win "
-          "(%.2fx the hermetic fast lane)"
-          % (supervised["kips"] / fast_lane["kips"]))
+    print("[bench] OK: solo-sharing speedup %.2fx"
+          % serial["speedup_vs_fast"])
     return 0
-
-
-def supervised_batched_kips(epochs, warmup):
-    """Aggregate KIPS for the CI grid under a supervised one-pack sweep.
-
-    Mirrors bench_grid's batched lane, but through SweepEngine with
-    supervision on (jobs=1, no timeout: the in-process PackSupervisor
-    path), cache off so every cell simulates.
-    """
-    import time
-
-    from repro.experiments.parallel import SweepEngine, grid_cells
-    from repro.experiments.profiling import _bench_scale
-    from repro.experiments.runner import ExperimentScale, clear_solo_cache
-    from repro.reliability.supervisor import Supervision
-
-    base = ExperimentScale.full()
-    scale = _bench_scale(base, base.config.mem_latency, epochs, warmup)
-    cells = grid_cells(groups=("MEM2",), policies=("ICOUNT", "FLUSH"),
-                       workloads_per_group=2)
-    engine = SweepEngine(scale, jobs=1, use_cache=False,
-                         supervision=Supervision(seed=scale.seed),
-                         batch_cells=len(cells))
-    clear_solo_cache()
-    start = time.perf_counter()  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-    results = engine.run_cells(cells)
-    wall = time.perf_counter() - start  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-    clear_solo_cache()
-    committed = sum(sum(result.committed) for result in results)
-    return {"wall_s": wall, "committed": committed,
-            "kips": committed / 1000.0 / wall if wall > 0 else 0.0}
 
 
 def run_full(out, epochs, warmup):
@@ -153,10 +99,9 @@ def run_full(out, epochs, warmup):
              best["workload"], best["policy"], best["mem_latency"],
              best["fast"]["skip_ratio"]))
     grid = document["grid"]
-    print("[bench] grid (%d cells @ mem=%d): batched %.2fx, "
-          "fast-serial %.2fx over hermetic fast"
+    print("[bench] grid (%d cells @ mem=%d): fast-serial %.2fx over "
+          "hermetic fast"
           % (grid["cells"], grid["mem_latency"],
-             grid["lanes"]["batched"]["speedup_vs_fast"],
              grid["lanes"]["fast-serial"]["speedup_vs_fast"]))
     return 0
 

@@ -402,12 +402,6 @@ _EVENT_RENDERERS = {
     "sweep-degraded": lambda r: (
         "[sweep] degrading to in-process serial execution: %s"
         % r["reason"]),
-    "pack-bisect": lambda r: (
-        "[sweep] pack of %d cells failed (%s); bisecting into %d + %d"
-        % (r["cells"], r["error"], r["left"], r["right"])),
-    "cell-evicted": lambda r: (
-        "[sweep] evicted %s from its pack to the scalar lane (%s)"
-        % (r["cell"], r["reason"])),
 }
 
 #: Renderers for the service-tier events (``SERVICE_EVENTS`` in
@@ -452,7 +446,6 @@ def cmd_sweep(args):
         grid_cells,
         merged_json,
     )
-    from repro.reliability.packsup import audit_mode, validate_batch_cells
     from repro.reliability.supervisor import (
         CellBootstrapError,
         Supervision,
@@ -464,14 +457,6 @@ def cmd_sweep(args):
         _fail("--cell-timeout must be a positive number of seconds")
     if args.max_attempts < 1:
         _fail("--max-attempts must be >= 1")
-    try:
-        # Packed sweeps are supervised: --batch-cells now composes with
-        # --resume-dir and --cell-timeout (docs/RELIABILITY.md,
-        # "Batched-lane supervision").
-        validate_batch_cells(args.batch_cells)
-        audit = args.audit_mirrors or audit_mode() == "mirror"
-    except ValueError as exc:
-        _fail(str(exc))
     groups = list(args.groups or [])
     policies = list(args.policies or [])
     if args.preset is not None:
@@ -500,8 +485,6 @@ def cmd_sweep(args):
             max_attempts=args.max_attempts,
             degrade=not args.no_degrade,
             seed=scale.seed),
-        batch_cells=args.batch_cells,
-        audit_mirrors=audit,
         on_event=None if args.quiet else _print_sweep_event)
     try:
         results = engine.run_cells(cells)
@@ -582,14 +565,11 @@ def cmd_chaos(args):
         max_attempts=args.max_attempts, degrade=not args.no_degrade,
         keep=args.keep, work_dir=args.work_dir,
         log=None if args.quiet else (lambda msg: print("[chaos] %s" % msg)))
-    print("[chaos] preset=%s cells=%d batch_cells=%d retries=%d "
-          "timeouts=%d pool_breaks=%d degraded=%s bisections=%d "
-          "evicted=%d resumed=%d"
-          % (report["preset"], len(report["cells"]),
-             report["batch_cells"], report["retries"],
+    print("[chaos] preset=%s cells=%d retries=%d timeouts=%d "
+          "pool_breaks=%d degraded=%s resumed=%d"
+          % (report["preset"], len(report["cells"]), report["retries"],
              report["timeouts"], report["pool_breaks"],
-             report["degraded"], report["bisections"],
-             report["evicted"], report["resumed"]))
+             report["degraded"], report["resumed"]))
     print("[chaos] quarantined: %d (expected %d)%s"
           % (len(report["quarantined"]), report["expected_quarantined"],
              " — " + ", ".join(report["quarantined"])
@@ -711,21 +691,15 @@ def cmd_serve(args):
 
 
 def cmd_worker(args):
-    from repro.reliability.packsup import validate_batch_cells
     from repro.service.worker import run_worker
 
     if args.poll_interval <= 0:
         _fail("--poll-interval must be a positive number of seconds")
     try:
-        validate_batch_cells(args.batch_cells)
-    except ValueError as exc:
-        _fail(str(exc))
-    try:
         summary = run_worker(
             args.server, poll_interval=args.poll_interval,
             max_cells=args.max_cells, idle_exit=args.idle_exit,
             fault=args.fault, name=args.name,
-            batch_cells=args.batch_cells,
             log=None if args.quiet else (
                 lambda message: print("[worker] %s" % message,
                                       file=sys.stderr)))
@@ -971,18 +945,6 @@ def build_parser():
                      help="abort instead of falling back to in-process "
                           "serial execution when the worker pool keeps "
                           "collapsing")
-    sub.add_argument("--batch-cells", type=int, default=1, metavar="N",
-                     help="pack up to N cells per process through the "
-                          "batched core lane (byte-identical results, "
-                          "shared replay tapes + SingleIPC runs); packs "
-                          "run supervised, so --resume-dir and "
-                          "--cell-timeout compose with batching "
-                          "(default: 1 = per-cell)")
-    sub.add_argument("--audit-mirrors", action="store_true",
-                     help="cross-check the batched core's SoA mirrors "
-                          "against scalar state at every epoch boundary "
-                          "and evict divergent cells to the scalar lane "
-                          "(also: REPRO_AUDIT=mirror)")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress live progress lines")
     _add_scale_args(sub)
@@ -994,10 +956,8 @@ def build_parser():
              "worker kills/hangs/corruption and verify convergence")
     sub.add_argument("--preset", default="kill-one-worker",
                      choices=("corrupt-result", "flaky-cells",
-                              "hang-one-cell", "hang-pack",
-                              "kill-one-worker", "kill-storm",
-                              "kill-worker", "mirror-corrupt",
-                              "poison-cell", "poison-pack-cell",
+                              "hang-one-cell", "kill-one-worker",
+                              "kill-storm", "kill-worker", "poison-cell",
                               "queue-flood", "slow-client",
                               "split-result", "worker-storm"),
                      help="fault scenario: pool presets (see repro."
@@ -1033,11 +993,7 @@ def build_parser():
     sub.add_argument("--policy", default="ICOUNT")
     sub.add_argument("--cores", nargs="+", choices=CORE_MODES,
                      default=["fast", "reference"],
-                     help="which run-loop cores to time: %s "
-                          "(default: fast reference; batched times a "
-                          "batch-of-one — pack throughput is the grid "
-                          "section of scripts/bench_core.py)"
-                          % " ".join(CORE_MODES))
+                     help="which run-loop cores to time")
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write the profile records as JSON here")
     _add_scale_args(sub)
@@ -1046,13 +1002,12 @@ def build_parser():
     sub = commands.add_parser(
         "lint",
         help="static self-analysis: fingerprint coverage, determinism, "
-             "policy contracts, async safety, mirror coverage (exit 1 "
-             "on findings)")
+             "policy contracts, async safety (exit 1 on findings)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--select", nargs="+", default=None, metavar="CODE",
                      help="only rules with these code prefixes; "
                           "space- or comma-separated (e.g. FP ND1 "
-                          "PC203, or AS,MC)")
+                          "PC203, or AS,ND)")
     sub.add_argument("--ignore", nargs="+", default=None, metavar="CODE",
                      help="drop rules with these code prefixes")
     sub.add_argument("--explain", default=None, metavar="RULE",
@@ -1125,11 +1080,6 @@ def build_parser():
     sub.add_argument("--fault", default=None, metavar="SPEC",
                      help="chaos hook, e.g. split-result:2 (corrupt the "
                           "first 2 result uploads)")
-    sub.add_argument("--batch-cells", type=int, default=1, metavar="N",
-                     help="lease up to N cells per loop and pack the "
-                          "fresh ones through the batched core lane; "
-                          "cells with a checkpoint to resume keep the "
-                          "per-cell path (default: 1)")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress worker log lines")
     sub.set_defaults(func=cmd_worker)

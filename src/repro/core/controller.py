@@ -95,11 +95,10 @@ class EpochController:
     def begin_epoch(self):
         """Everything :meth:`run_epoch` does *before* the processor window:
         fault injection, sanitize, invariant pre-check, the policy's epoch
-        plan and the solo-fetch restriction.  Split out (pure code motion)
-        so the batched lane (:mod:`repro.experiments.batchrun`) can
-        interleave many processors' windows between each controller's pre-
-        and post-epoch work.  Returns ``(solo_thread, before_stats)`` to
-        hand back to :meth:`finish_epoch`."""
+        plan and the solo-fetch restriction.  A separate method so a span
+        tracer (perfbench/tracer.py) can attribute controller work apart
+        from the processor window.  Returns ``(solo_thread, before_stats)``
+        to hand back to :meth:`finish_epoch`."""
         proc = self.proc
         if self.injector is not None:
             self.injector.before_epoch(proc, self.epoch_id)

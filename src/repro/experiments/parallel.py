@@ -53,11 +53,6 @@ from dataclasses import dataclass
 from repro.experiments.export import _jsonable
 from repro.experiments.runner import RunResult, run_policy
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
-from repro.reliability.packsup import (
-    PackSupervisor,
-    audit_mode,
-    validate_batch_cells,
-)
 from repro.reliability.supervisor import (
     SWEEP_EVENTS,
     CellBootstrapError,
@@ -217,12 +212,9 @@ _FAMILY_ENTRIES = {
 #: additionally depends on the import-graph builder itself.
 _CORE_SOURCES = (
     # Directory entries hash every .py under them, so the run-loop core
-    # modules (pipeline/fastpath.py, pipeline/profile.py and the batched
-    # lane's pipeline/batched.py) are covered by "pipeline" — editing any
-    # core invalidates every cell, exactly as editing the reference loop
-    # does.  The pack layer rides along explicitly: cache keys stay
-    # core-agnostic only because every core is proven byte-identical, so
-    # editing the pack layer must invalidate like editing a core.
+    # modules (pipeline/fastpath.py, pipeline/profile.py) are covered by
+    # "pipeline" — editing either core invalidates every cell, exactly as
+    # editing the reference loop does.
     "pipeline", "memory", "branch", "workloads",
     "__init__.py", "core/__init__.py", "experiments/__init__.py",
     "policies/__init__.py", "reliability/__init__.py",
@@ -231,9 +223,9 @@ _CORE_SOURCES = (
     "core/controller.py", "core/metrics.py",
     "policies/base.py", "policies/icount.py",
     "experiments/runner.py", "experiments/parallel.py",
-    "experiments/batchrun.py", "experiments/export.py",
+    "experiments/export.py",
     "reliability/guard.py", "reliability/invariants.py",
-    "reliability/supervisor.py", "reliability/packsup.py",
+    "reliability/supervisor.py",
 )
 
 #: Extra sources per policy family; editing one of these invalidates only
@@ -622,33 +614,6 @@ def _validate_cell_value(cell, value):
             % (cell.label, repr(value)[:80]))
 
 
-def _execute_pack_supervised(cells, scale, resume_dir, pack_heartbeat,
-                             cell_heartbeats, attempt, fault_plan, audit):
-    """Supervised pack worker (runs inside the pack supervisor's worker
-    process): one lockstep pack with per-cell checkpoints under
-    ``resume_dir``, pack/cell heartbeats, chaos hooks and the optional
-    runtime mirror audit.  Returns one ``(RunResult, False)`` per cell
-    in pack order, with ``None`` for audit-evicted slots — the same
-    per-cell payload shape as :func:`_execute_cell` (packed cells are
-    never resumed; cells with a checkpoint take the per-cell path)."""
-    from repro.experiments.batchrun import run_pack
-
-    run_dirs = None
-    if resume_dir is not None:
-        from repro.reliability.guard import run_slug
-
-        run_dirs = [os.path.join(resume_dir,
-                                 run_slug(cell.workload, cell.policy,
-                                          cell.seed))
-                    for cell in cells]
-    results = run_pack(cells, scale, attempt=attempt, fault_plan=fault_plan,
-                       audit=audit, run_dirs=run_dirs,
-                       heartbeat=pack_heartbeat,
-                       cell_heartbeats=cell_heartbeats)
-    return [None if result is None else (result, False)
-            for result in results]
-
-
 def pool_map(fn, tasks, jobs=None):
     """Order-preserving map over argument tuples, optionally fanned out
     over a process pool (``jobs`` <= 1: plain serial calls, no pool).
@@ -704,38 +669,13 @@ class SweepEngine:
     fault_plan:
         Optional picklable chaos plan (:mod:`repro.reliability.chaos`)
         whose hooks perturb supervised workers; test/bench-only.
-    batch_cells:
-        With ``batch_cells > 1`` pending cells run through the batched
-        core lane (:mod:`repro.experiments.batchrun`): packs of up to
-        ``batch_cells`` cells simulate in lockstep inside one process,
-        sharing replay tapes and SingleIPC runs.  Results and cache
-        entries stay byte-identical to per-cell execution (cache keys
-        are core-agnostic).  Combined with ``supervision`` the packs
-        run under the :class:`~repro.reliability.packsup.PackSupervisor`
-        — pack heartbeats, deterministic bisection of failed packs,
-        eviction to the scalar lane, quarantine — and with
-        ``resume_dir`` every packed cell checkpoints per epoch, so a
-        killed batched sweep resumes exactly like a per-cell one
-        (docs/RELIABILITY.md "Batched-lane supervision").  Cells with an
-        existing checkpoint resume on the per-cell path; packs always
-        start cells from epoch 0.
-    audit_mirrors:
-        Opt-in runtime audit of the batched lane
-        (``REPRO_AUDIT=mirror`` sets it too): cross-check the BatchCore
-        SoA mirrors against scalar processor state at every epoch
-        boundary and evict divergent cells to the scalar lane — the
-        dynamic counterpart of lint's MC4xx pass.  A clean run audits
-        to zero divergences and changes no stats, checkpoints or cache
-        keys.
     """
 
     def __init__(self, scale, jobs=1, cache_dir=None, events_path=None,
                  on_event=None, resume_dir=None, use_cache=True,
-                 supervision=None, fault_plan=None, batch_cells=1,
-                 audit_mirrors=False):
+                 supervision=None, fault_plan=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        validate_batch_cells(batch_cells)
         if fault_plan is not None and supervision is None:
             raise ValueError("fault_plan requires supervision")
         self.scale = scale
@@ -750,15 +690,10 @@ class SweepEngine:
         self.resume_dir = resume_dir
         self.supervision = supervision
         self.fault_plan = fault_plan
-        self.batch_cells = batch_cells
-        self.audit_mirrors = bool(audit_mirrors)
-        if batch_cells > 1 and not self.audit_mirrors:
-            self.audit_mirrors = audit_mode() == "mirror"
         self.stats = {"hits": 0, "misses": 0, "resumed": 0}
         self.quarantined = {}
         self.supervisor_stats = {"retries": 0, "timeouts": 0,
-                                 "pool_breaks": 0, "degraded": False,
-                                 "bisections": 0, "evicted": 0}
+                                 "pool_breaks": 0, "degraded": False}
         self._memory = {}
         self._work_dir = None
         if supervision is not None:
@@ -835,14 +770,9 @@ class SweepEngine:
         if pending:
             # An empty pending list short-circuits to a pure-cache merge:
             # no pool, no supervisor, no max_workers=0 to trip over.
-            if self.supervision is not None and self.batch_cells > 1:
-                self._run_batched_supervised(pending, cached, len(unique),
-                                             started_at)
-            elif self.supervision is not None:
+            if self.supervision is not None:
                 self._run_supervised(pending, cached, len(unique),
                                      started_at)
-            elif self.batch_cells > 1:
-                self._run_batched(pending, cached, len(unique), started_at)
             elif self.jobs == 1:
                 self._run_serial(pending, cached, len(unique), started_at)
             else:
@@ -878,67 +808,6 @@ class SweepEngine:
             self._emit("cell-done", cell=cell.label, resumed=resumed,
                        **self._progress(done, cached, 0, total, started_at,
                                         index + 1))
-
-    def _run_batched(self, pending, cached, total, started_at):
-        """Fan pending cells out as lockstep packs (batched core lane).
-
-        Packs run serially in-process with ``jobs=1`` and over the
-        process pool otherwise — one pack per pool task, results merged
-        in request order like every other path.  Event-stream consumers
-        see the same cell lifecycle as per-cell execution; all cells of
-        one pack start together.  Under the runtime mirror audit an
-        evicted cell (``None`` payload slot) finishes on the scalar
-        lane in-process, byte-identically.
-        """
-        from repro.experiments.batchrun import _execute_pack, pack_cells
-
-        packs = pack_cells(pending, self.batch_cells)
-        done = cached
-        finished_live = 0
-
-        def land(pack, payload):
-            nonlocal done, finished_live
-            for cell, slot in zip(pack, payload):
-                if slot is None:
-                    self.supervisor_stats["evicted"] += 1
-                    self._emit("cell-evicted", cell=cell.label,
-                               reason="mirror-divergence")
-                    slot = _execute_cell(cell, self.scale, None)
-                result, resumed = slot
-                self._store(cell, result, resumed)
-                done += 1
-                finished_live += 1
-                self._emit("cell-done", cell=cell.label, resumed=resumed,
-                           **self._progress(done, cached, 0, total,
-                                            started_at, finished_live))
-
-        if self.jobs <= 1 or len(packs) == 1:
-            for pack in packs:
-                for cell in pack:
-                    self._emit("cell-start", cell=cell.label,
-                               **self._progress(done, cached, len(pack),
-                                                total, started_at,
-                                                finished_live))
-                land(pack, _execute_pack(pack, self.scale,
-                                         audit=self.audit_mirrors))
-            return
-        with ProcessPoolExecutor(max_workers=min(self.jobs,
-                                                 len(packs))) as pool:
-            futures = {}
-            for pack in packs:
-                futures[pool.submit(_execute_pack, pack, self.scale,
-                                    self.audit_mirrors)] = pack
-                for cell in pack:
-                    self._emit("cell-start", cell=cell.label,
-                               **self._progress(done, cached, len(pack),
-                                                total, started_at,
-                                                finished_live))
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(outstanding,
-                                             return_when=FIRST_COMPLETED)
-                for future in finished:
-                    land(futures[future], future.result())
 
     def _run_pool(self, pending, cached, total, started_at):
         done = cached
@@ -990,11 +859,10 @@ class SweepEngine:
                 "checkpoint": checkpoint}
 
     def _supervised_hooks(self, cached, total, started_at):
-        """Shared progress plumbing for the supervised paths: an event
+        """Progress plumbing for the supervised path: an event
         forwarder that decorates ``cell-start`` with progress fields and
         the store-and-emit completion callback, over one shared counter
-        state (so the batched path's pack stage and scalar leftover
-        stage report one continuous sweep)."""
+        state."""
         counters = {"done": cached, "live": 0}
 
         def forward(event, **fields):
@@ -1044,10 +912,6 @@ class SweepEngine:
         self.supervisor_stats["timeouts"] += supervisor.timeouts
         self.supervisor_stats["pool_breaks"] += supervisor.pool_breaks
         self.supervisor_stats["degraded"] |= supervisor.degraded
-        self.supervisor_stats["bisections"] += getattr(
-            supervisor, "bisections", 0)
-        self.supervisor_stats["evicted"] += len(getattr(
-            supervisor, "evicted", ()))
 
     def _run_supervised(self, pending, cached, total, started_at):
         """Fan pending cells out under the cell supervisor.
@@ -1064,94 +928,6 @@ class SweepEngine:
         supervisor = self._cell_supervisor(forward, on_result)
         supervisor.run(pending)
         self._merge_supervisor(supervisor)
-
-    def _pack_heartbeat_file(self, pack):
-        digest = hashlib.sha256(
-            "|".join(cell.label for cell in pack).encode()).hexdigest()
-        return os.path.join(self._work_dir, "heartbeats",
-                            "pack-%s.hb" % digest[:12])
-
-    def _cell_has_checkpoint(self, cell):
-        """Whether a previous (killed) sweep left resumable state for
-        this cell — such cells take the per-cell path, because packs
-        always start cells from epoch 0 and re-running a half-finished
-        cell from scratch would waste its saved epochs."""
-        if self.resume_dir is None:
-            return False
-        from repro.reliability.guard import run_slug
-
-        run_dir = os.path.join(
-            self.resume_dir,
-            run_slug(cell.workload, cell.policy, cell.seed))
-        if not os.path.isdir(run_dir):
-            return False
-        if os.path.exists(os.path.join(run_dir, "result.json")):
-            return True
-        try:
-            names = os.listdir(run_dir)
-        except OSError:
-            return False
-        return any(name.startswith("ckpt_") and name.endswith(".pkl")
-                   for name in names)
-
-    def _run_batched_supervised(self, pending, cached, total, started_at):
-        """Fan pending cells out as *supervised* lockstep packs.
-
-        Fresh cells are packed and run under the
-        :class:`~repro.reliability.packsup.PackSupervisor`: per-pack
-        heartbeats, deterministic bisection of failed packs (so one
-        poisonous cell never takes its neighbors' work), eviction of
-        audit-flagged cells, quarantine of repeat offenders.  Cells a
-        previous sweep already checkpointed, plus whatever the pack
-        stage deferred or evicted, finish under the ordinary cell
-        supervisor — with their in-pack attempt counts carried over, so
-        ``max_attempts`` means the same thing on both lanes.
-        """
-        from repro.experiments.batchrun import pack_cells
-
-        __, forward, on_result = self._supervised_hooks(cached, total,
-                                                        started_at)
-        fresh, leftovers = [], []
-        for cell in pending:
-            (leftovers if self._cell_has_checkpoint(cell)
-             else fresh).append(cell)
-        pack_sup = None
-        if fresh:
-            heartbeats = self.supervision.cell_timeout is not None
-
-            def pack_args(pack, attempt):
-                return (list(pack), self.scale, self.resume_dir,
-                        self._pack_heartbeat_file(pack) if heartbeats
-                        else None,
-                        [self._heartbeat_file(cell) for cell in pack]
-                        if heartbeats else None,
-                        attempt, self.fault_plan, self.audit_mirrors)
-
-            pack_sup = PackSupervisor(
-                worker=_execute_pack_supervised, pack_args=pack_args,
-                jobs=self.jobs, config=self.supervision,
-                item_key=lambda cell: cell.label,
-                item_label=lambda cell: cell.label,
-                pack_heartbeat=(self._pack_heartbeat_file if heartbeats
-                                else None),
-                validate=_validate_cell_value, on_result=on_result,
-                emit=forward, ledger=QuarantineLedger(self.quarantine_path),
-                ledger_info=self._ledger_info)
-            pack_sup.run(pack_cells(fresh, self.batch_cells))
-            self._merge_supervisor(pack_sup)
-            leftovers.extend(pack_sup.evicted)
-            leftovers.extend(pack_sup.deferred)
-        if leftovers:
-            supervisor = self._cell_supervisor(forward, on_result)
-            if pack_sup is not None:
-                supervisor.attempts.update(
-                    {cell: pack_sup.attempts[cell]
-                     for cell in pack_sup.deferred})
-                supervisor.failures.update(
-                    {cell: list(pack_sup.failures[cell])
-                     for cell in pack_sup.deferred})
-            supervisor.run(leftovers)
-            self._merge_supervisor(supervisor)
 
     # -- grid conveniences ----------------------------------------------
 

@@ -22,21 +22,16 @@ Two entry points:
   territory) MEM-bound workloads spend most of their cycles waiting and
   the fast core's advantage is large.  Reporting both keeps the headline
   number honest.
-* :func:`bench_grid` — the batched lane's benchmark (the ``"grid"``
-  section of BENCH_core.json): a fig4-style sweep grid timed end to end
-  under three lanes — per-cell hermetic fast (each cell re-deriving its
-  SingleIPC runs, the wide-fanout/service cost model), per-cell serial
-  fast sharing the in-process SingleIPC cache (the honesty row: how much
-  of the batched win is just solo sharing), and one lockstep batched
-  pack.  The batched lane is *not* timed per cell by
-  :func:`bench_document` — a batch of one is the fast core by
-  construction, so a per-cell row would only restate the fast column.
+* :func:`bench_grid` — the ``"grid"`` section of BENCH_core.json: a
+  fig4-style sweep grid timed end to end
+  under two lanes — per-cell hermetic fast (each cell re-deriving its
+  SingleIPC runs, the wide-fanout/service cost model) and per-cell serial
+  fast sharing the in-process SingleIPC cache.
 
 Wall-clock reads never feed back into simulation: a profiled run's stats
 are byte-identical to an unprofiled one's (see
-``tests/test_core_equivalence.py``), and :func:`bench_grid` asserts all
-three lanes returned byte-identical results before reporting any
-throughput.
+``tests/test_core_equivalence.py``), and :func:`bench_grid` asserts both
+lanes returned byte-identical results before reporting any throughput.
 """
 
 import json
@@ -70,9 +65,9 @@ STRESS_MEM_LATENCY = 2000
 
 #: Default fig4-style grid for :func:`bench_grid`: one ILP-, one mixed-
 #: and one MEM-bound Table 3 group (two workloads each) across the
-#: sweep-default policy set — 24 cells, wide enough that tape/solo
+#: sweep-default policy set — 24 cells, wide enough that solo
 #: sharing shows up and small enough to bench in minutes.  The hermetic
-#: lane pays one SingleIPC derivation per *cell* while a pack pays one
+#: lane pays one SingleIPC derivation per *cell*, a shared cache one
 #: per *workload*, so the sharing ratio scales with the policy count —
 #: benching the default four-policy sweep grid, not a trimmed one,
 #: keeps the reported speedup representative of real sweeps.
@@ -139,7 +134,7 @@ def bench_document(scale=None, epochs=2, warmup=10000, cells=BENCH_CELLS,
     (``ExperimentScale.full()``) trimmed to ``epochs`` epochs after
     ``warmup`` cycles.  With ``grid`` true (the default) the document
     also carries a ``"grid"`` section from :func:`bench_grid` — the
-    batched lane's throughput story.  ``progress``, when given, is
+    solo-sharing throughput story.  ``progress``, when given, is
     called with a one-line string before each run.
     """
     from repro.experiments.parallel import policy_factory
@@ -155,10 +150,6 @@ def bench_document(scale=None, epochs=2, warmup=10000, cells=BENCH_CELLS,
             workload = get_workload(workload_name)
             cell = {"workload": workload_name, "policy": policy_name,
                     "mem_latency": mem_latency}
-            # Per-cell rows time fast vs reference only: a batch of one
-            # IS the fast core, so a "batched" row here would restate
-            # the fast column — the batched lane is timed on a grid by
-            # :func:`bench_grid` instead.
             for core in ("fast", "reference"):
                 if progress is not None:
                     progress("%s / %s @ mem=%d [%s]"
@@ -188,9 +179,8 @@ def bench_document(scale=None, epochs=2, warmup=10000, cells=BENCH_CELLS,
 
 def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
                groups=GRID_GROUPS, policies=GRID_POLICIES,
-               workloads_per_group=2, seeds=(0,), batch_cells=None,
-               budget=8192, progress=None):
-    """Time one fig4-style sweep grid under the three execution lanes.
+               workloads_per_group=2, seeds=(0,), progress=None):
+    """Time one fig4-style sweep grid under the two execution lanes.
 
     The lanes (same grid, identical simulated work, byte-identical
     results — asserted before any throughput is reported):
@@ -201,22 +191,15 @@ def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
         the cost model of wide process fan-out and of service workers,
         where cells land in fresh processes.
     ``fast-serial``
-        Per-cell runs sharing one in-process SingleIPC cache — the
-        honesty row separating "the batched core is faster" from "the
-        pack shares solo runs".
-    ``batched``
-        All cells in lockstep packs through
-        :func:`repro.experiments.batchrun.run_pack` (``batch_cells``
-        per pack; default: one pack holding the whole grid), sharing
-        replay tapes and solo runs.
+        Per-cell runs sharing one in-process SingleIPC cache, as
+        ``repro sweep --jobs 1`` does.
 
     Returns a JSON-ready dict: the grid identity, per-lane
-    wall/committed-total/aggregate-KIPS records, and each non-fast
-    lane's speedup over the hermetic ``fast`` lane.  Raises
-    ``RuntimeError`` if any lane's results diverge — a throughput
+    wall/committed-total/aggregate-KIPS records, and ``fast-serial``'s
+    speedup over the hermetic ``fast`` lane.  Raises ``RuntimeError``
+    if the lanes' results diverge — a throughput
     number for a wrong simulation is worse than no number.
     """
-    from repro.experiments.batchrun import pack_cells, run_pack
     from repro.experiments.parallel import grid_cells, policy_factory
     from repro.experiments.runner import clear_solo_cache, run_policy
     from repro.workloads.mixes import get_workload
@@ -227,8 +210,6 @@ def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
     grid_scale = _bench_scale(base, mem_latency, epochs, warmup)
     cells = grid_cells(groups=groups, policies=policies, seeds=seeds,
                        workloads_per_group=workloads_per_group)
-    if batch_cells is None:
-        batch_cells = len(cells)
 
     def seeded_for(cell):
         return (grid_scale if grid_scale.seed == cell.seed
@@ -248,23 +229,10 @@ def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
         wall = time.perf_counter() - start  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
         return results, wall
 
-    def batched_lane():
-        clear_solo_cache()
-        by_cell = {}
-        start = time.perf_counter()  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-        for pack in pack_cells(cells, batch_cells):
-            for cell, result in zip(pack,
-                                    run_pack(pack, grid_scale,
-                                             budget=budget)):
-                by_cell[id(cell)] = result
-        wall = time.perf_counter() - start  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-        return [by_cell[id(cell)] for cell in cells], wall
-
     lanes = {}
     canonical = None
     for lane, runner in (("fast", lambda: per_cell_lane(True)),
-                         ("fast-serial", lambda: per_cell_lane(False)),
-                         ("batched", batched_lane)):
+                         ("fast-serial", lambda: per_cell_lane(False))):
         if progress is not None:
             progress("grid lane %s: %d cells @ mem=%d"
                      % (lane, len(cells), mem_latency))
@@ -286,11 +254,9 @@ def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
             "cycles": sum(result.cycles for result in results),
             "kips": committed / 1000.0 / wall if wall > 0 else 0.0,
         }
-    fast_wall = lanes["fast"]["wall_s"]
-    for lane in ("fast-serial", "batched"):
-        lanes[lane]["speedup_vs_fast"] = (
-            fast_wall / lanes[lane]["wall_s"]
-            if lanes[lane]["wall_s"] > 0 else 0.0)
+    serial = lanes["fast-serial"]
+    serial["speedup_vs_fast"] = (lanes["fast"]["wall_s"] / serial["wall_s"]
+                                 if serial["wall_s"] > 0 else 0.0)
     clear_solo_cache()
     return {
         "groups": list(groups),
@@ -301,6 +267,5 @@ def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
         "mem_latency": mem_latency,
         "epochs": epochs,
         "warmup": warmup,
-        "batch_cells": batch_cells,
         "lanes": lanes,
     }

@@ -250,15 +250,12 @@ class SMTProcessor:
     def run(self, num_cycles):
         """Advance the machine by ``num_cycles`` cycles.
 
-        Three byte-identical cores can execute the window: the
+        Two byte-identical cores can execute the window: the
         event-driven fast path (default), which proves quiescent
-        stretches and jumps them, the stage-every-cycle reference loop
-        (``REPRO_CORE=reference``), and the batched lane
-        (``REPRO_CORE=batched``) which steps a single processor exactly
-        like the fast path — its cross-cell machinery engages at the
-        sweep-pack layer (:mod:`repro.experiments.batchrun`).  Selection
-        is read per call and never stored, so checkpoints and sweep
-        cache keys are core-agnostic; see
+        stretches and jumps them, and the stage-every-cycle reference
+        loop (``REPRO_CORE=reference``).  Selection is read per call and
+        never stored, so checkpoints and sweep cache keys are
+        core-agnostic; see
         :mod:`repro.pipeline.fastpath` and docs/INTERNALS.md.
         """
         end = self.cycle + num_cycles

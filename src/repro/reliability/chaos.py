@@ -15,14 +15,7 @@ injects configurable faults into sweep workers and asserts convergence:
   transient-infrastructure case retries exist for;
 * :class:`PoisonCell` — fail every attempt, forcing quarantine;
 * :class:`BootstrapCrash` — fail while *constructing* the cell, the
-  deterministic error class that must abort instead of retry;
-* :class:`MirrorCorrupt` — skew one cell's SoA mirror inside a batched
-  pack, the divergence class only the runtime mirror audit can catch.
-
-The ``poison-pack-cell``, ``hang-pack`` and ``mirror-corrupt`` presets
-(:data:`BATCHED_CHAOS_PRESETS`) run the whole grid as one supervised
-pack so the faults land mid-pack: the PackSupervisor must bisect,
-defer, or evict without charging innocent packmates.
+  deterministic error class that must abort instead of retry.
 
 Faults are keyed by (cell label, attempt), so the plan needs no shared
 state: a retried attempt simply no longer matches.  Kill/hang faults
@@ -85,12 +78,6 @@ class ChaosFault:
 
     def on_epoch(self, plan, cell, attempt, epoch_id):
         """Runs after each completed epoch (post checkpoint/manifest)."""
-
-    def on_pack_refresh(self, plan, cell, attempt, epoch_id, core, index):
-        """Runs in the batched lane only, at each epoch boundary after
-        the pack's SoA mirrors are refreshed and before the runtime
-        audit inspects them — the one window where injected mirror
-        corruption is observable without touching simulation state."""
 
     def transform_result(self, plan, cell, attempt, result):
         """May replace the worker's result payload."""
@@ -177,22 +164,6 @@ class BootstrapCrash(ChaosFault):
                 "injected bootstrap failure for %s" % cell.label)
 
 
-class MirrorCorrupt(ChaosFault):
-    """Flip one cell's ``_cycle`` mirror entry right after the pack
-    refresh at epoch ``at_epoch`` — simulation state is untouched, so
-    only the runtime mirror audit (``REPRO_AUDIT=mirror``) can see the
-    skew.  The audited engine must evict the cell to the scalar lane,
-    where this hook never fires and the rerun is clean."""
-
-    def __init__(self, labels=None, attempts=(1,), at_epoch=1):
-        super().__init__(labels, attempts)
-        self.at_epoch = at_epoch
-
-    def on_pack_refresh(self, plan, cell, attempt, epoch_id, core, index):
-        if self.matches(cell, attempt) and epoch_id == self.at_epoch:
-            core._cycle[index] += 1
-
-
 class ChaosPlan:
     """A picklable bundle of faults handed to supervised workers.
 
@@ -217,11 +188,6 @@ class ChaosPlan:
     def on_epoch(self, cell, attempt, epoch_id):
         for fault in self.faults:
             fault.on_epoch(self, cell, attempt, epoch_id)
-
-    def on_pack_refresh(self, cell, attempt, epoch_id, core, index):
-        for fault in self.faults:
-            fault.on_pack_refresh(self, cell, attempt, epoch_id, core,
-                                  index)
 
     def transform_result(self, cell, attempt, result):
         for fault in self.faults:
@@ -252,23 +218,7 @@ CHAOS_PRESETS = {
     "poison-cell": "one cell fails every attempt and must land in "
                    "quarantine.jsonl while the sweep completes around "
                    "it",
-    "poison-pack-cell": "one cell of a supervised pack fails every "
-                        "attempt; bisection must isolate it into "
-                        "quarantine while every innocent packmate's "
-                        "result lands",
-    "hang-pack": "one cell of a supervised pack stops heartbeating; "
-                 "the pack timeout plus bisection must defer the "
-                 "hung cell to the scalar lane and finish the rest",
-    "mirror-corrupt": "one cell's SoA mirror is skewed mid-pack; the "
-                      "runtime mirror audit must evict it to the "
-                      "scalar lane with zero quarantines",
 }
-
-#: Presets that exercise the batched (packed) lane: ``run_chaos`` runs
-#: these with ``batch_cells`` spanning the whole grid so every failure
-#: lands inside a multi-cell pack.
-BATCHED_CHAOS_PRESETS = frozenset(
-    ("poison-pack-cell", "hang-pack", "mirror-corrupt"))
 
 
 def build_plan(preset, cells, parent_pid=None):
@@ -298,15 +248,6 @@ def build_plan(preset, cells, parent_pid=None):
                           parent_pid), 0, None)
     if preset == "poison-cell":
         return (ChaosPlan([PoisonCell(target)], parent_pid), 1, None)
-    if preset == "poison-pack-cell":
-        return (ChaosPlan([PoisonCell(target)], parent_pid), 1, None)
-    if preset == "hang-pack":
-        return (ChaosPlan([HangCell(target, attempts=(1,), at_epoch=1)],
-                          parent_pid), 0, 5.0)
-    if preset == "mirror-corrupt":
-        return (ChaosPlan([MirrorCorrupt(target, attempts=(1,),
-                                         at_epoch=1)],
-                          parent_pid), 0, None)
     raise ValueError("unknown chaos preset %r (valid: %s)"
                      % (preset, ", ".join(sorted(CHAOS_PRESETS))))
 
@@ -325,7 +266,7 @@ def default_grid():
 
 def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
               degrade=True, keep=False, work_dir=None, grid=None,
-              epochs=None, batch_cells=None, log=None):
+              epochs=None, log=None):
     """Run one chaos scenario end to end; returns a report dict.
 
     A supervised engine runs the grid under the preset's fault plan with
@@ -336,11 +277,6 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
     and the merged JSON is byte-identical to the reference (for presets
     that quarantine by design, every *surviving* cell record must match
     its reference record instead).
-
-    Presets in :data:`BATCHED_CHAOS_PRESETS` run the supervised engine
-    with ``batch_cells`` spanning the whole grid (one pack) unless the
-    caller overrides it, and ``mirror-corrupt`` additionally turns the
-    runtime mirror audit on.
     """
     from repro.experiments.parallel import (
         SweepEngine,
@@ -355,13 +291,9 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
     cells = grid_cells(**grid)
     plan, expected, preset_timeout = build_plan(preset, cells)
     timeout = cell_timeout if cell_timeout is not None else preset_timeout
-    if batch_cells is None:
-        batch_cells = len(cells) if preset in BATCHED_CHAOS_PRESETS else 1
-    audit = preset == "mirror-corrupt"
     workdir = work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     say("chaos preset %r: %s" % (preset, CHAOS_PRESETS[preset]))
-    say("%d cells, %d jobs, batch_cells %d, work dir %s"
-        % (len(cells), jobs, batch_cells, workdir))
+    say("%d cells, %d jobs, work dir %s" % (len(cells), jobs, workdir))
 
     supervision = Supervision(
         cell_timeout=timeout, max_attempts=max_attempts, degrade=degrade,
@@ -372,12 +304,10 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
         events_path=os.path.join(workdir, "events.jsonl"),
         resume_dir=os.path.join(workdir, "resume"),
         supervision=supervision, fault_plan=plan,
-        batch_cells=batch_cells, audit_mirrors=audit,
         on_event=lambda record: say("event: %s" % json.dumps(record))
         if record.get("event") in ("cell-retry", "cell-timeout",
                                    "cell-quarantined", "pool-broken",
-                                   "pool-rebuilt", "sweep-degraded",
-                                   "pack-bisect", "cell-evicted")
+                                   "pool-rebuilt", "sweep-degraded")
         else None)
     results = engine.run_cells(cells)
     chaos_doc = merged_document(cells, results, scale,
@@ -405,7 +335,6 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
         "preset": preset,
         "cells": [cell.label for cell in cells],
         "jobs": jobs,
-        "batch_cells": batch_cells,
         "quarantined": quarantined,
         "expected_quarantined": expected,
         "identical": identical,
@@ -414,8 +343,6 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
         "timeouts": engine.supervisor_stats["timeouts"],
         "pool_breaks": engine.supervisor_stats["pool_breaks"],
         "degraded": engine.supervisor_stats["degraded"],
-        "bisections": engine.supervisor_stats["bisections"],
-        "evicted": engine.supervisor_stats["evicted"],
         "resumed": engine.stats["resumed"],
         "work_dir": workdir if keep else None,
         "quarantine_path": engine.quarantine_path if keep else None,
@@ -426,7 +353,6 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
 
 
 __all__ = [
-    "BATCHED_CHAOS_PRESETS",
     "BootstrapCrash",
     "CHAOS_PRESETS",
     "ChaosFault",
@@ -437,7 +363,6 @@ __all__ = [
     "FlakyCell",
     "HangCell",
     "KillWorker",
-    "MirrorCorrupt",
     "PoisonCell",
     "build_plan",
     "default_grid",

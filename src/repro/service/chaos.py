@@ -10,8 +10,8 @@ against a fault-free serial :class:`SweepEngine` reference.  The
 invariant is the same one the pool tier proves: faults may cost time
 and retries, never bytes.
 
-Single-victim choices are deterministic (first spawned worker dies),
-so a failing preset reproduces identically.
+``kill-worker`` kills a worker only while the job's event stream shows
+it holding an outstanding lease, so that lease must then expire.
 """
 
 import os
@@ -73,6 +73,34 @@ def _wait_for(predicate, timeout, interval=0.1):
         if predicate():
             return True
         time.sleep(interval)
+    return False
+
+
+def _outstanding_leases(events):
+    """``{cell label: worker id}`` for leases no later event resolved."""
+    held = {}
+    for record in list(events):
+        if record["event"] == "cell-leased":
+            held[record["cell"]] = record["worker"]
+        elif record["event"] in ("cell-done", "cell-retry", "lease-expired"):
+            held.pop(record["cell"], None)
+    return held
+
+
+def _kill_lease_holder(service, procs, events, say):
+    """SIGKILL a worker while it holds an outstanding lease: freeze the
+    holder, and resume it and try the next lease if this one completed."""
+    while _wait_for(lambda: _outstanding_leases(events), 30.0, 0.02):
+        cell, worker = sorted(_outstanding_leases(events).items())[0]
+        proc = procs[service.workers[worker]["name"]]
+        proc.send_signal(signal.SIGSTOP)
+        time.sleep(0.5)  # let an upload it already sent land
+        if _outstanding_leases(events).get(cell) == worker:
+            say("SIGKILL worker pid %d holding %s" % (proc.pid, cell))
+            proc.kill()
+            proc.wait()
+            return True
+        proc.send_signal(signal.SIGCONT)
     return False
 
 
@@ -185,12 +213,13 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
                 % (job_id, len(cells), handle.url))
 
             if preset == "kill-worker":
-                _wait_for(lambda: client.stats()["leases"] >= 1,
-                          timeout=30.0)
-                victim = workers[0]
-                say("SIGKILL worker pid %d mid-sweep" % victim.pid)
-                victim.kill()
-                victim.wait()
+                events = []
+                reader = threading.Thread(target=lambda: events.extend(
+                    client.events(job_id)), daemon=True)
+                reader.start()
+                procs = {"chaos-%d" % index: proc
+                         for index, proc in enumerate(workers)}
+                _kill_lease_holder(handle.service, procs, events, say)
             elif preset == "worker-storm":
                 for round_index in range(3):
                     _wait_for(lambda: client.stats()["leases"] >= 1,
@@ -220,6 +249,8 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
             # The sweep finished while the 200 B/s consumer was still
             # crawling — now let it drain its buffered stream tail.
             slow_reader.join(timeout=120.0)
+        elif preset == "kill-worker":
+            reader.join(timeout=30.0)  # the stream ends with the job
     finally:
         for proc in workers:
             if proc.poll() is None:

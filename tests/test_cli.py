@@ -162,14 +162,16 @@ class TestCoreEnvValidation:
     simulation command, before any cycles run."""
 
     def test_run_rejects_bad_core(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "turbo")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--workload", "art-mcf", "--policy", "ICOUNT",
-                  "--scale", "smoke"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "REPRO_CORE" in err and "turbo" in err
+        # "batched" named a core lane that no longer exists.
+        for bad in ("turbo", "batched"):
+            monkeypatch.setenv("REPRO_CORE", bad)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "--workload", "art-mcf", "--policy", "ICOUNT",
+                      "--scale", "smoke"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "REPRO_CORE" in err and repr(bad) in err
 
     def test_profile_rejects_bad_core(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CORE", "turbo")
@@ -280,69 +282,6 @@ class TestSweepSupervisionCLI:
         (dropped,) = doc["quarantined"]
         assert dropped["policy"] == "ICOUNT"
         assert dropped["attempts"] == 2
-
-
-class TestBatchedSweepCLI:
-    """The ``sweep --batch-cells`` surface: the shared batch_cells
-    validation message, supervision composing with packing, and an
-    end-to-end packed sweep whose output is byte-identical to the
-    serial engine's."""
-
-    def test_batch_cells_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--workloads", "art-mcf", "--scale", "smoke",
-                  "--batch-cells", "0"])
-        assert excinfo.value.code == 2
-        # The one batch_cells message, shared with pack_cells/SweepEngine
-        # (repro.reliability.packsup.validate_batch_cells).
-        assert "batch_cells must be an integer >= 1" \
-            in capsys.readouterr().err
-
-    def test_batch_cells_composes_with_supervision(self, capsys, tmp_path):
-        """--resume-dir and --cell-timeout used to be exit-2
-        incompatibilities with --batch-cells; packed sweeps now run
-        under the PackSupervisor, so the combination works and stays
-        byte-identical to the serial engine."""
-        outputs = {}
-        for label, extra in (
-                ("serial", []),
-                ("packed", ["--batch-cells", "4",
-                            "--cell-timeout", "120",
-                            "--resume-dir", str(tmp_path / "resume")])):
-            out_path = tmp_path / (label + ".json")
-            code = main(["sweep", "--workloads", "art-mcf", "art-twolf",
-                         "--policies", "ICOUNT", "FLUSH",
-                         "--scale", "smoke", "--jobs", "1", "--quiet",
-                         "--no-cache", "--out", str(out_path)] + extra)
-            assert code in (0, None)
-            outputs[label] = out_path.read_text()
-        capsys.readouterr()
-        assert outputs["packed"] == outputs["serial"]
-
-    def test_worker_batch_cells_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["worker", "--server", "http://127.0.0.1:1",
-                  "--batch-cells", "0"])
-        assert excinfo.value.code == 2
-        assert "batch_cells must be an integer >= 1" \
-            in capsys.readouterr().err
-
-    def test_batched_sweep_matches_serial(self, capsys, tmp_path):
-        import json as _json
-
-        outputs = {}
-        for label, extra in (("serial", []),
-                             ("batched", ["--batch-cells", "8"])):
-            out_path = tmp_path / (label + ".json")
-            code = main(["sweep", "--workloads", "art-mcf", "art-twolf",
-                         "--policies", "ICOUNT", "FLUSH",
-                         "--scale", "smoke", "--jobs", "1", "--quiet",
-                         "--no-cache", "--out", str(out_path)] + extra)
-            assert code in (0, None)
-            outputs[label] = out_path.read_text()
-        assert outputs["batched"] == outputs["serial"]
-        doc = _json.loads(outputs["batched"])
-        assert len(doc["cells"]) == 4
 
 
 class TestChaosCLI:

@@ -146,6 +146,79 @@ class TestModuleDocstrings:
         assert all(part.isdigit() for part in parts)
 
 
+#: Runs in a fresh interpreter: refuse every top-level import that is
+#: neither stdlib nor ``repro``, recording the ones ``repro`` code asks
+#: for, then import every module of the package.  A guarded ``try:
+#: import thirdparty`` still shows up in ``attempted``, so optional
+#: third-party imports fail the probe too.  (The stdlib's own guarded
+#: probes, e.g. ``copy`` looking for Jython's ``org``, are not counted.)
+_STDLIB_ONLY_PROBE = r'''
+import importlib
+import importlib.abc
+import pkgutil
+import sys
+
+attempted = set()
+
+
+def _importer():
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename.startswith(
+            "<frozen"):
+        frame = frame.f_back
+    return "" if frame is None else frame.f_globals.get("__name__", "")
+
+
+class BlockThirdParty(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if path is None and top != "repro" \
+                and top not in sys.stdlib_module_names:
+            if _importer().partition(".")[0] == "repro":
+                attempted.add(top)
+            raise ModuleNotFoundError("blocked %r" % name, name=name)
+        return None
+
+
+sys.meta_path.insert(0, BlockThirdParty())
+import repro
+
+failed = []
+for info in pkgutil.walk_packages(repro.__path__, "repro.",
+                                  onerror=failed.append):
+    if info.name == "repro.__main__":
+        continue  # importing the entry point would run the CLI
+    try:
+        importlib.import_module(info.name)
+    except Exception as exc:
+        failed.append("%s: %s: %s" % (info.name, type(exc).__name__, exc))
+print("attempted:", sorted(attempted))
+print("failed:", failed)
+sys.exit(1 if attempted or failed else 0)
+'''
+
+
+class TestStdlibOnly:
+    """The package runs on a bare interpreter: no module under ``repro``
+    imports anything outside the standard library, and the packaging
+    metadata declares no runtime dependencies."""
+
+    @pytest.mark.skipif(sys.version_info < (3, 10),
+                        reason="needs sys.stdlib_module_names")
+    def test_every_module_imports_without_third_party_packages(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run([sys.executable, "-c", _STDLIB_ONLY_PROBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_pyproject_declares_no_dependencies(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert re.search(r"^dependencies = \[\]$", project, re.M), project
+
+
 class TestEventTableDrift:
     """The docs carry the canonical event-name tables between HTML
     sentinel comments; each block must list *exactly* the code table,

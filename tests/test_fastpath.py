@@ -37,16 +37,12 @@ class TestCoreSelection:
         monkeypatch.setenv("REPRO_CORE", "reference")
         assert core_mode() == "reference"
 
-    def test_env_selects_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "batched")
-        assert core_mode() == "batched"
-
     def test_forced_core_shadows_even_invalid_env(self, monkeypatch):
         """An explicit forced_core never consults the environment, so a
         bad REPRO_CORE cannot break code that pinned its core."""
         monkeypatch.setenv("REPRO_CORE", "turbo")
-        with forced_core("batched"):
-            assert core_mode() == "batched"
+        with forced_core("reference"):
+            assert core_mode() == "reference"
 
     def test_unknown_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE", "turbo")

@@ -1,8 +1,6 @@
-"""Self-check: the five lint passes over the real ``repro`` tree, the
+"""Self-check: the four lint passes over the real ``repro`` tree, the
 fail-closed directions from the sweep cache's point of view, and the
 graph fingerprint mode."""
-
-import re
 
 import os
 import shutil
@@ -98,35 +96,6 @@ def _doctored_tree(tmp_path, rel, transform):
     with open(target, "w", encoding="utf-8") as handle:
         handle.write(doctored)
     return copy_root
-
-
-def test_real_tree_declares_every_mirror():
-    with open(os.path.join(engine.package_root(), engine.MIRROR_MODULE),
-              encoding="utf-8") as handle:
-        source = handle.read()
-    declared = re.findall(r"#\s*repro:\s*mirror\[\s*(\w+)", source)
-    # the 13 SoA arrays of BatchCore, one declaration each
-    assert len(declared) == 13
-    assert len(set(declared)) == 13
-
-
-def test_deleting_any_mirror_declaration_fails_closed(tmp_path):
-    source_path = os.path.join(engine.package_root(), engine.MIRROR_MODULE)
-    with open(source_path, encoding="utf-8") as handle:
-        decl_lines = [line for line in handle.read().splitlines()
-                      if re.search(r"#\s*repro:\s*mirror\[", line)]
-    # drop each declaration in turn: every deletion must be caught
-    for decl in decl_lines:
-        copy_root = str(tmp_path / ("repro-" + str(decl_lines.index(decl))))
-        shutil.copytree(engine.package_root(), copy_root)
-        target = os.path.join(copy_root, engine.MIRROR_MODULE)
-        with open(target, encoding="utf-8") as handle:
-            doctored = handle.read().replace(decl + "\n", "")
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(doctored)
-        graph = build_graph(copy_root, "repro")
-        findings = engine.PASSES["mirrors"](copy_root, graph)
-        assert any(f.rule == "MC401" for f in findings), decl
 
 
 def test_removing_an_async_waiver_fails_closed(tmp_path):

@@ -363,6 +363,53 @@ class TestCacheCorruptionHandling:
         assert cache.info().entries == 0
 
 
+class TestCacheDigest:
+    def _seed_cache(self, scale, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        (cell,) = grid_cells(workloads=("art-mcf",),
+                             policies=("ICOUNT",), epochs=2)
+        engine = SweepEngine(scale, jobs=1, cache_dir=cache_dir)
+        engine.run_cells([cell])
+        cache = ResultCache(cache_dir)
+        (path,) = [os.path.join(dirpath, name)
+                   for dirpath, _dirnames, names in
+                   os.walk(cache.objects_dir)
+                   for name in names if name.endswith(".json")]
+        return cache, cell, path
+
+    def test_tampered_payload_is_sidelined(self, scale, tmp_path,
+                                           capsys):
+        cache, cell, path = self._seed_cache(scale, tmp_path)
+        with open(path) as handle:
+            document = json.load(handle)
+        key = document["key"]
+        assert cache.get(key) is not None  # digest verifies clean
+
+        document["result"]["avg_ipc"] = 99.0  # the payload lies now
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get(key) is None
+        err = capsys.readouterr().err
+        assert "corrupt cache entry" in err
+        assert "does not match payload digest" in err
+        assert os.path.exists(path[:-len(".json")] + ".corrupt")
+        info = cache.info()
+        assert info.entries == 0 and info.corrupt == 1
+
+    def test_entry_filed_under_wrong_key_is_sidelined(self, scale,
+                                                      tmp_path, capsys):
+        cache, cell, path = self._seed_cache(scale, tmp_path)
+        with open(path) as handle:
+            document = json.load(handle)
+        key = document["key"]
+        document["key"] = "0" * 64  # filed under someone else's name
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get(key) is None
+        assert "filed under key" in capsys.readouterr().err
+        assert cache.info().corrupt == 1
+
+
 class TestCacheConcurrency:
     def test_put_survives_a_racing_clear(self, scale, tmp_path):
         import shutil

@@ -265,7 +265,7 @@ class TestSupervisedEngine:
         assert supervised.stats == {"hits": 0, "misses": 2, "resumed": 0}
         assert supervised.supervisor_stats == {
             "retries": 0, "timeouts": 0, "pool_breaks": 0,
-            "degraded": False, "bisections": 0, "evicted": 0}
+            "degraded": False}
         assert supervised.quarantined == {}
 
     def test_poisoned_cell_yields_partial_results(self, scale, tmp_path):
