@@ -8,46 +8,77 @@ Two modes:
     Full bench matrix (see :func:`repro.experiments.profiling.bench_document`):
     MEM-heavy Figure 4 cells under the fast and reference cores at the
     paper's memory latency and at the far-memory stress latency with
-    per-cell speedups, plus the ``"grid"`` section — a fig4-style sweep
-    grid timed end to end under two lanes (per-cell hermetic fast and
-    per-cell fast sharing the in-process SingleIPC cache; see
-    :func:`repro.experiments.profiling.bench_grid`).  Takes several
-    minutes on the paper machine config.
+    per-cell speedups.  Takes several minutes on the paper machine
+    config.
 
 ``python scripts/bench_core.py --check``
     CI smoke, two legs.  First one MEM-heavy Figure 4 cell (art-mcf
     under FLUSH) at the stress latency on a trimmed window, asserting
     the fast core's KIPS is at least the reference core's — that cell's
     true speedup is ~2x, so the >= 1.0 gate has a wide margin against
-    CI-runner noise.  Then a four-cell MEM2 grid through both lanes,
-    asserting the lanes stayed byte-identical (bench_grid raises
-    otherwise) and the shared-solo ``fast-serial`` lane's aggregate
-    KIPS is at least the hermetic fast lane's.  Exits 1 with a
-    diagnostic on failure.
+    CI-runner noise.  Then the persisted-solo gate at smoke scale: sweep
+    MEM2 x ICOUNT DCRA into a fresh result cache, forget every in-process
+    SingleIPC, and sweep MEM2 x ICOUNT DCRA HILL on the same cache.  The
+    second sweep must derive zero solo runs (it reads them from the
+    cache) and its merged JSON must be byte-identical to an uncached
+    sweep of the same grid.  Exits 1 with a diagnostic on failure.
 """
 
 import argparse
 import json
 import os
 import sys
+import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.experiments.parallel import SweepEngine, merged_json  # noqa: E402
 from repro.experiments.profiling import (  # noqa: E402
     STRESS_MEM_LATENCY,
     bench_document,
-    bench_grid,
+)
+from repro.experiments.runner import (  # noqa: E402
+    ExperimentScale,
+    clear_solo_cache,
+    solo_cache_info,
 )
 
 
+def check_persisted_solos():
+    """The persisted-solo gate; returns an error line or ``None``."""
+    scale = ExperimentScale.smoke()
+    extended_grid = {"groups": ["MEM2"],
+                     "policies": ["ICOUNT", "DCRA", "HILL"]}
+    with tempfile.TemporaryDirectory(prefix="bench-solos-") as cache_dir:
+        SweepEngine(scale, cache_dir=cache_dir).sweep(
+            groups=["MEM2"], policies=["ICOUNT", "DCRA"])
+        clear_solo_cache()
+        engine = SweepEngine(scale, cache_dir=cache_dir)
+        cells, results = engine.sweep(**extended_grid)
+        derived = solo_cache_info().misses
+        extended = merged_json(cells, results, scale)
+    clear_solo_cache()
+    cells, results = SweepEngine(scale, use_cache=False).sweep(
+        **extended_grid)
+    print("[bench] solo gate: %d cached, %d simulated, %d solo run(s) "
+          "derived" % (engine.stats["hits"], engine.stats["misses"],
+                       derived))
+    if derived:
+        return ("extending a cached MEM2 grid derived %d SingleIPC "
+                "run(s); expected 0 (all read from the cache)" % derived)
+    if extended != merged_json(cells, results, scale):
+        return ("extending a cached MEM2 grid is not byte-identical to "
+                "an uncached sweep of the same grid")
+    return None
+
+
 def run_check(epochs, warmup):
-    """One stress cell, both cores, then a small two-lane grid."""
+    """One stress cell, both cores, then the persisted-solo gate."""
     document = bench_document(epochs=epochs, warmup=warmup,
                               cells=(("art-mcf", "FLUSH"),),
                               mem_latencies=(STRESS_MEM_LATENCY,),
-                              progress=lambda line: print("[bench] " + line),
-                              grid=False)
+                              progress=lambda line: print("[bench] " + line))
     cell = document["cells"][0]
     fast, reference = cell["fast"], cell["reference"]
     print("[bench] fast %.1f KIPS (skip ratio %.3f) vs reference %.1f KIPS"
@@ -67,22 +98,12 @@ def run_check(epochs, warmup):
               file=sys.stderr)
         return 1
     print("[bench] OK: fast-core speedup %.2fx" % cell["speedup"])
-    # Leg two: solo sharing on a small MEM-bound grid.  bench_grid
-    # raises if the lanes' results diverge, so reaching the KIPS gate
-    # already proves byte-identity.
-    grid = bench_grid(epochs=epochs, warmup=warmup, groups=("MEM2",),
-                      policies=("ICOUNT", "FLUSH"), workloads_per_group=2,
-                      progress=lambda line: print("[bench] " + line))
-    fast_lane, serial = grid["lanes"]["fast"], grid["lanes"]["fast-serial"]
-    print("[bench] grid (%d cells): fast %.1f KIPS vs fast-serial %.1f KIPS"
-          % (grid["cells"], fast_lane["kips"], serial["kips"]))
-    if serial["kips"] < fast_lane["kips"]:
-        print("error: fast-serial lane slower than hermetic fast "
-              "(%.1f < %.1f aggregate KIPS) on the MEM2 smoke grid"
-              % (serial["kips"], fast_lane["kips"]), file=sys.stderr)
+    error = check_persisted_solos()
+    if error is not None:
+        print("error: " + error, file=sys.stderr)
         return 1
-    print("[bench] OK: solo-sharing speedup %.2fx"
-          % serial["speedup_vs_fast"])
+    print("[bench] OK: persisted solos are read, not re-derived, and "
+          "change no byte")
     return 0
 
 
@@ -98,11 +119,6 @@ def run_full(out, epochs, warmup):
           % (len(document["cells"]), out, best["speedup"],
              best["workload"], best["policy"], best["mem_latency"],
              best["fast"]["skip_ratio"]))
-    grid = document["grid"]
-    print("[bench] grid (%d cells @ mem=%d): fast-serial %.2fx over "
-          "hermetic fast"
-          % (grid["cells"], grid["mem_latency"],
-             grid["lanes"]["fast-serial"]["speedup_vs_fast"]))
     return 0
 
 
@@ -113,7 +129,8 @@ def main(argv=None):
                         metavar="FILE", help="where to write the document")
     parser.add_argument("--check", action="store_true",
                         help="CI smoke: one stress cell, assert fast KIPS "
-                             ">= reference KIPS")
+                             ">= reference KIPS; then the persisted-solo "
+                             "identity gate")
     parser.add_argument("--epochs", type=int, default=None,
                         help="measured epochs per run (default: 2 full, "
                              "1 for --check)")

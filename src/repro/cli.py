@@ -636,6 +636,7 @@ def cmd_cache(args):
             [["directory", stats.directory],
              ["entries", stats.entries],
              ["size", "%.1f KiB" % (stats.bytes / 1024.0)],
+             ["solo entries", stats.solos],
              ["corrupt entries", stats.corrupt],
              ["corrupt size", "%.1f KiB" % (stats.corrupt_bytes / 1024.0)]]))
     else:  # clear
@@ -1019,7 +1020,8 @@ def build_parser():
         "cache", help="inspect or empty the sweep result cache")
     cache_commands = sub.add_subparsers(dest="cache_command", required=True)
     cache_sub = cache_commands.add_parser(
-        "info", help="entry count, size, corrupt entries, directory")
+        "info", help="entry count, size, SingleIPC entries, corrupt "
+                     "entries, directory")
     cache_sub.add_argument("--cache-dir", default=None, metavar="DIR")
     cache_sub.set_defaults(func=cmd_cache, corrupt_only=False)
     cache_sub = cache_commands.add_parser(

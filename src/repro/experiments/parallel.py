@@ -17,7 +17,10 @@ a content-addressed on-disk cache, so that
   its last good epoch;
 * merged results are deterministic — cell order follows the *request*
   order, never completion order, so ``jobs=4`` produces byte-identical
-  JSON to ``jobs=1`` (:func:`merged_json`).
+  JSON to ``jobs=1`` (:func:`merged_json`);
+* the stand-alone SingleIPC runs every weighted metric divides by are
+  stored in the same cache (:func:`solo_key`) and handed to whichever
+  process simulates a cell, so no process derives a solo again.
 
 Progress is surfaced as a lightweight JSONL event stream (one object per
 line: sweep/cell lifecycle, done/cached/running counts, ETA, worker
@@ -51,7 +54,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.experiments.export import _jsonable
-from repro.experiments.runner import RunResult, run_policy
+from repro.experiments.runner import RunResult, remember_solo, run_policy
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
 from repro.reliability.supervisor import (
     SWEEP_EVENTS,
@@ -334,9 +337,11 @@ def cache_key(cell, scale):
     The key hashes everything the simulation's outcome depends on: the
     full machine configuration, the workload's benchmark profiles (their
     parameters, not just their names), the canonical policy spec, the
-    seed, the epoch schedule (epoch size, epoch count, warmup), and the
-    relevant code fingerprint.  Anything else — job count, cache
-    location, event stream, resume state — deliberately stays out.
+    seed, the epoch schedule (epoch size, the cell's epoch count, warmup,
+    and the scale's epoch count — the SingleIPC window, which differs
+    from the cell's when the cell overrides ``epochs``), and the relevant
+    code fingerprint.  Anything else — job count, cache location, event
+    stream, resume state — deliberately stays out.
     """
     workload = get_workload(cell.workload)
     payload = {
@@ -349,6 +354,7 @@ def cache_key(cell, scale):
             "epoch_size": scale.epoch_size,
             "epochs": cell.epochs if cell.epochs is not None
             else scale.epochs,
+            "solo_epochs": scale.epochs,
             "warmup": scale.warmup,
         },
         "code": code_fingerprint(cell.policy),
@@ -357,15 +363,67 @@ def cache_key(cell, scale):
     return hashlib.sha256(blob).hexdigest()
 
 
+def solo_key(profile, scale):
+    """Content address of one benchmark's SingleIPC value.
+
+    Hashes what :func:`repro.experiments.runner.solo_ipc` depends on: the
+    profile's parameters (its name included, since the name seeds the
+    instruction stream), the machine configuration, the solo window
+    (epoch size, the *scale's* epoch count, warmup), the seed, and the
+    ICOUNT family's code fingerprint — solo runs are ICOUNT runs, and
+    that file set covers the substrate, ``policies/icount.py`` and
+    ``experiments/runner.py``.
+    """
+    payload = {
+        "profile": _jsonable(profile),
+        "config": _jsonable(scale.config),
+        "schedule": {
+            "epoch_size": scale.epoch_size,
+            "epochs": scale.epochs,
+            "warmup": scale.warmup,
+        },
+        "seed": scale.seed,
+        "code": code_fingerprint("ICOUNT"),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _seeded_scale(cell, scale):
+    """The scale one cell runs at: ``scale`` with the cell's seed."""
+    return (scale if scale.seed == cell.seed
+            else scale.with_overrides(seed=cell.seed))
+
+
+def cell_solo_keys(cell, scale):
+    """:func:`solo_key` of every thread of one cell, in thread order."""
+    seeded = _seeded_scale(cell, scale)
+    return [solo_key(profile, seeded)
+            for profile in get_workload(cell.workload).profiles]
+
+
+def store_solos(cache, cell, scale, single_ipcs):
+    """Persist a cell result's SingleIPCs that ``cache`` does not hold
+    yet; present entries are never rewritten."""
+    profiles = get_workload(cell.workload).profiles
+    for profile, key, value in zip(profiles, cell_solo_keys(cell, scale),
+                                   single_ipcs):
+        if cache.get_solo(key) is None:
+            cache.put_solo(key, profile.name, value)
+
+
 # ----------------------------------------------------------------------
 # On-disk result cache
 # ----------------------------------------------------------------------
 
-#: ``corrupt``/``corrupt_bytes`` count the ``<key>.corrupt`` entries that
-#: :meth:`ResultCache.get` sidelined (they are misses, not results, but
-#: they occupy disk until ``repro cache clear --corrupt-only``).
-CacheStats = namedtuple("CacheStats",
-                        "entries bytes corrupt corrupt_bytes directory")
+#: ``entries``/``bytes`` count cell results only.  ``corrupt``/
+#: ``corrupt_bytes`` count the ``<key>.corrupt`` entries that
+#: :meth:`ResultCache.get` and :meth:`ResultCache.get_solo` sidelined
+#: (they are misses, not results, but they occupy disk until ``repro
+#: cache clear --corrupt-only``).  ``solos`` counts stored SingleIPC
+#: values.
+CacheStats = namedtuple(
+    "CacheStats", "entries bytes corrupt corrupt_bytes directory solos")
 
 
 def default_cache_dir():
@@ -391,14 +449,34 @@ class ResultCache:
     one-line warning, so it can never shadow the re-simulated result nor
     poison later invocations.  ``repro cache info`` counts the sidelined
     entries.
+
+    SingleIPC values live beside the results, under
+    ``<dir>/solos/<key[:2]>/<key>.json`` (key: :func:`solo_key`), read
+    and written through :meth:`get_solo`/:meth:`put_solo` with the same
+    atomic writes and the same sidelining of corrupt entries.
     """
 
     def __init__(self, directory=None):
         self.directory = directory or default_cache_dir()
         self.objects_dir = os.path.join(self.directory, "objects")
+        self.solos_dir = os.path.join(self.directory, "solos")
 
     def _path(self, key):
         return os.path.join(self.objects_dir, key[:2], key + ".json")
+
+    def _solo_path(self, key):
+        return os.path.join(self.solos_dir, key[:2], key + ".json")
+
+    @staticmethod
+    def _sideline(path, what, key, exc):
+        """Move a corrupt entry aside to ``.corrupt`` and warn once."""
+        try:
+            os.replace(path, path[:-len(".json")] + ".corrupt")
+        except OSError:
+            pass
+        print("warning: corrupt %s %s… treated as a miss, moved to "
+              ".corrupt (%s: %s)" % (what, key[:12], type(exc).__name__,
+                                     exc), file=sys.stderr)
 
     @staticmethod
     def _result_digest(result_dict):
@@ -424,13 +502,7 @@ class ResultCache:
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            try:
-                os.replace(path, path[:-len(".json")] + ".corrupt")
-            except OSError:
-                pass
-            print("warning: corrupt cache entry %s… treated as a miss, "
-                  "moved to .corrupt (%s: %s)"
-                  % (key[:12], type(exc).__name__, exc), file=sys.stderr)
+            self._sideline(path, "cache entry", key, exc)
             return None
 
     def put(self, key, cell, result):
@@ -444,13 +516,16 @@ class ResultCache:
         the directory and retrying once — ``put`` never raises
         ``FileNotFoundError`` at a victim of someone else's cleanup.
         """
-        path = self._path(key)
         result_dict = result.to_dict()
         payload = json.dumps(
             {"cell": _jsonable(cell), "key": key,
              "sha256": self._result_digest(result_dict),
              "result": result_dict},
             sort_keys=True)
+        self._write(self._path(key), payload)
+
+    @staticmethod
+    def _write(path, payload):
         tmp = path + ".tmp.%d" % os.getpid()
         for retry in (False, True):
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -463,10 +538,51 @@ class ResultCache:
                 if retry:
                     raise
 
-    def _entries(self, suffix=".json"):
-        if not os.path.isdir(self.objects_dir):
+    @staticmethod
+    def _valid_solo(value):
+        return (isinstance(value, float) and math.isfinite(value)
+                and value > 0)
+
+    def get_solo(self, key):
+        """The stored SingleIPC for one :func:`solo_key`, or ``None``.
+
+        An unreadable entry, one filed under the wrong key, or one whose
+        value is not a finite float > 0 is sidelined to ``.corrupt`` and
+        counts as a miss.
+        """
+        path = self._solo_path(key)
+        try:
+            with open(path) as handle:
+                document = json.load(handle)
+            if document["key"] != key:
+                raise ValueError(
+                    "entry filed under key %s… carries key %s…"
+                    % (key[:12], str(document["key"])[:12]))
+            value = document["value"]
+            if not self._valid_solo(value):
+                raise ValueError("invalid SingleIPC %r" % (value,))
+            return value
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self._sideline(path, "solo entry", key, exc)
+            return None
+
+    def put_solo(self, key, profile, value):
+        """Atomically store one SingleIPC (``profile`` is the benchmark
+        name, kept for debugging).  A value :meth:`get_solo` would reject
+        is not stored.  Floats round-trip exactly through ``json``."""
+        if not self._valid_solo(value):
             return
-        for dirpath, dirnames, filenames in os.walk(self.objects_dir):
+        payload = json.dumps({"key": key, "profile": profile,
+                              "value": value}, sort_keys=True)
+        self._write(self._solo_path(key), payload)
+
+    def _entries(self, suffix=".json", root=None):
+        root = self.objects_dir if root is None else root
+        if not os.path.isdir(root):
+            return
+        for dirpath, dirnames, filenames in os.walk(root):
             dirnames.sort()
             for name in sorted(filenames):
                 if name.endswith(suffix):
@@ -485,29 +601,38 @@ class ResultCache:
         return count, total
 
     def info(self):
+        """Entry counts and sizes (see :data:`CacheStats`)."""
         entries, total = self._measure(self._entries())
-        corrupt, corrupt_total = self._measure(self._entries(".corrupt"))
+        corrupt, corrupt_total = self._measure(
+            list(self._entries(".corrupt"))
+            + list(self._entries(".corrupt", self.solos_dir)))
+        solos, _ = self._measure(self._entries(root=self.solos_dir))
         return CacheStats(entries=entries, bytes=total, corrupt=corrupt,
                           corrupt_bytes=corrupt_total,
-                          directory=self.directory)
+                          directory=self.directory, solos=solos)
 
     def clear(self, corrupt_only=False):
-        """Delete cached results; returns the number of files removed.
+        """Delete cached results; returns the number of result files
+        removed.
 
         ``corrupt_only=True`` removes only the sidelined ``.corrupt``
-        entries and leaves every valid result in place; the default
-        empties the cache, sidelined entries included.  Already-removed
-        files (a concurrent ``clear``) are skipped, not errors.
+        entries (results and solos) and leaves every valid entry in
+        place; the default empties the cache, sidelined entries and
+        ``solos/`` included.  Solo files are removed but not counted in
+        the return value.  Already-removed files (a concurrent ``clear``)
+        are skipped, not errors.
         """
         suffixes = (".corrupt",) if corrupt_only else (".json", ".corrupt")
         removed = 0
-        for suffix in suffixes:
-            for path in list(self._entries(suffix)):
-                try:
-                    os.remove(path)
-                    removed += 1
-                except OSError:
-                    pass
+        for root, counted in ((self.objects_dir, True),
+                              (self.solos_dir, False)):
+            for suffix in suffixes:
+                for path in list(self._entries(suffix, root)):
+                    try:
+                        os.remove(path)
+                        removed += counted
+                    except OSError:
+                        pass
         return removed
 
 
@@ -528,7 +653,7 @@ def _touch_heartbeat(path):
 
 
 def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
-                  fault_plan=None):
+                  fault_plan=None, solos=None):
     """Simulate one cell (runs inside a worker process).
 
     With ``resume_dir`` the run goes through the PR 1 resilient runner:
@@ -547,6 +672,10 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
     policy, a broken registry inside the child — are wrapped in
     :class:`~repro.reliability.supervisor.CellBootstrapError`: they are
     deterministic, so the supervisor aborts instead of retrying.
+
+    ``solos`` (aligned with the workload's profiles; ``None`` entries
+    unknown) carries SingleIPC values from the result cache.  They seed
+    this process's solo LRU, so the run derives only the unknown ones.
     """
     if fault_plan is not None:
         fault_plan.before_cell(cell, attempt)
@@ -559,8 +688,10 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
         raise CellBootstrapError(
             "cannot construct cell %s: %s: %s"
             % (cell.label, type(exc).__name__, exc)) from exc
-    seeded = (scale if scale.seed == cell.seed
-              else scale.with_overrides(seed=cell.seed))
+    seeded = _seeded_scale(cell, scale)
+    for profile, value in zip(workload.profiles, solos or ()):
+        if value is not None:
+            remember_solo(profile, seeded, value)
     hooks = []
     if heartbeat_path is not None:
         _touch_heartbeat(heartbeat_path)
@@ -695,6 +826,8 @@ class SweepEngine:
         self.supervisor_stats = {"retries": 0, "timeouts": 0,
                                  "pool_breaks": 0, "degraded": False}
         self._memory = {}
+        #: Stored SingleIPCs of the cells being simulated (see run_cells).
+        self._solos = {}
         self._work_dir = None
         if supervision is not None:
             # Heartbeats and the quarantine ledger live next to the
@@ -769,7 +902,9 @@ class SweepEngine:
                    pending=len(pending), jobs=self.jobs)
         if pending:
             # An empty pending list short-circuits to a pure-cache merge:
-            # no pool, no supervisor, no max_workers=0 to trip over.
+            # no pool, no supervisor, no max_workers=0 to trip over, and
+            # no solo lookups.
+            self._solos = self._lookup_solos(pending)
             if self.supervision is not None:
                 self._run_supervised(pending, cached, len(unique),
                                      started_at)
@@ -788,11 +923,27 @@ class SweepEngine:
             return [self._memory.get(cell) for cell in cells]
         return [self._memory[cell] for cell in cells]
 
+    def _lookup_solos(self, cells):
+        """{cell: stored SingleIPCs per thread} for the cells about to be
+        simulated; each solo file is read once per call."""
+        if self.cache is None:
+            return {}
+        found = {}
+        solos = {}
+        for cell in cells:
+            keys = cell_solo_keys(cell, self.scale)
+            for key in keys:
+                if key not in found:
+                    found[key] = self.cache.get_solo(key)
+            solos[cell] = [found[key] for key in keys]
+        return solos
+
     def _store(self, cell, result, resumed):
         if resumed:
             self.stats["resumed"] += 1
         if self.cache is not None:
             self.cache.put(cache_key(cell, self.scale), cell, result)
+            store_solos(self.cache, cell, self.scale, result.single_ipcs)
         self._memory[cell] = result
 
     def _run_serial(self, pending, cached, total, started_at):
@@ -801,8 +952,9 @@ class SweepEngine:
             self._emit("cell-start", cell=cell.label,
                        **self._progress(done, cached, 1, total, started_at,
                                         index))
-            result, resumed = _execute_cell(cell, self.scale,
-                                            self.resume_dir)
+            result, resumed = _execute_cell(
+                cell, self.scale, self.resume_dir,
+                solos=self._solos.get(cell))
             self._store(cell, result, resumed)
             done += 1
             self._emit("cell-done", cell=cell.label, resumed=resumed,
@@ -817,7 +969,8 @@ class SweepEngine:
             futures = {}
             for cell in pending:
                 futures[pool.submit(_execute_cell, cell, self.scale,
-                                    self.resume_dir)] = cell
+                                    self.resume_dir,
+                                    solos=self._solos.get(cell))] = cell
                 self._emit("cell-start", cell=cell.label,
                            **self._progress(done, cached, len(futures),
                                             total, started_at,
@@ -894,7 +1047,7 @@ class SweepEngine:
         def task_args(cell, attempt):
             return (cell, self.scale, self.resume_dir,
                     self._heartbeat_file(cell) if heartbeats else None,
-                    attempt, self.fault_plan)
+                    attempt, self.fault_plan, self._solos.get(cell))
 
         return CellSupervisor(
             worker=_execute_cell, task_args=task_args, jobs=self.jobs,
@@ -1040,6 +1193,7 @@ __all__ = [
     "SweepEngine",
     "cache_key",
     "canonical_policy",
+    "cell_solo_keys",
     "clear_fingerprint_memo",
     "code_fingerprint",
     "default_cache_dir",
@@ -1048,4 +1202,6 @@ __all__ = [
     "merged_json",
     "policy_factory",
     "pool_map",
+    "solo_key",
+    "store_solos",
 ]

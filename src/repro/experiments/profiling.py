@@ -22,19 +22,12 @@ Two entry points:
   territory) MEM-bound workloads spend most of their cycles waiting and
   the fast core's advantage is large.  Reporting both keeps the headline
   number honest.
-* :func:`bench_grid` — the ``"grid"`` section of BENCH_core.json: a
-  fig4-style sweep grid timed end to end
-  under two lanes — per-cell hermetic fast (each cell re-deriving its
-  SingleIPC runs, the wide-fanout/service cost model) and per-cell serial
-  fast sharing the in-process SingleIPC cache.
 
 Wall-clock reads never feed back into simulation: a profiled run's stats
 are byte-identical to an unprofiled one's (see
-``tests/test_core_equivalence.py``), and :func:`bench_grid` asserts both
-lanes returned byte-identical results before reporting any throughput.
+``tests/test_core_equivalence.py``).
 """
 
-import json
 import time
 from dataclasses import replace
 
@@ -43,8 +36,8 @@ from repro.experiments.runner import ExperimentScale, make_processor
 from repro.pipeline.fastpath import CORE_MODES, forced_core
 from repro.pipeline.profile import CoreProfile
 
-__all__ = ["profile_run", "bench_document", "bench_grid", "BENCH_CELLS",
-           "GRID_GROUPS", "GRID_POLICIES", "STRESS_MEM_LATENCY"]
+__all__ = ["profile_run", "bench_document", "BENCH_CELLS",
+           "STRESS_MEM_LATENCY"]
 
 #: (workload, policy) cells benchmarked by :func:`bench_document`: the
 #: MEM-heaviest Figure 4 cells (MEM2 group x the Figure 4 policy set),
@@ -62,17 +55,6 @@ BENCH_CELLS = (
 #: paper's machine uses 300; 2000 models a disaggregated/CXL-class memory
 #: where MEM-bound threads are quiescent for most of their cycles.
 STRESS_MEM_LATENCY = 2000
-
-#: Default fig4-style grid for :func:`bench_grid`: one ILP-, one mixed-
-#: and one MEM-bound Table 3 group (two workloads each) across the
-#: sweep-default policy set — 24 cells, wide enough that solo
-#: sharing shows up and small enough to bench in minutes.  The hermetic
-#: lane pays one SingleIPC derivation per *cell*, a shared cache one
-#: per *workload*, so the sharing ratio scales with the policy count —
-#: benching the default four-policy sweep grid, not a trimmed one,
-#: keeps the reported speedup representative of real sweeps.
-GRID_GROUPS = ("ILP2", "MIX2", "MEM2")
-GRID_POLICIES = ("ICOUNT", "FLUSH", "DCRA", "HILL")
 
 
 def profile_run(workload, policy, scale, core="fast", epochs=None):
@@ -125,17 +107,15 @@ def _bench_scale(base, mem_latency, epochs, warmup):
 
 
 def bench_document(scale=None, epochs=2, warmup=10000, cells=BENCH_CELLS,
-                   mem_latencies=None, progress=None, grid=True):
+                   mem_latencies=None, progress=None):
     """Build the ``BENCH_core.json`` document.
 
     Every cell in ``cells`` runs under the fast and reference cores at
     each memory latency (default: the base config's own latency plus the
     far-memory stress latency), on the paper machine config
     (``ExperimentScale.full()``) trimmed to ``epochs`` epochs after
-    ``warmup`` cycles.  With ``grid`` true (the default) the document
-    also carries a ``"grid"`` section from :func:`bench_grid` — the
-    solo-sharing throughput story.  ``progress``, when given, is
-    called with a one-line string before each run.
+    ``warmup`` cycles.  ``progress``, when given, is called with a
+    one-line string before each run.
     """
     from repro.experiments.parallel import policy_factory
     from repro.workloads.mixes import get_workload
@@ -171,101 +151,4 @@ def bench_document(scale=None, epochs=2, warmup=10000, cells=BENCH_CELLS,
         "warmup": warmup,
         "mem_latencies": list(mem_latencies),
         "cells": results,
-        "grid": (bench_grid(scale=base, epochs=epochs, warmup=warmup,
-                            progress=progress)
-                 if grid else None),
-    }
-
-
-def bench_grid(scale=None, epochs=2, warmup=10000, mem_latency=None,
-               groups=GRID_GROUPS, policies=GRID_POLICIES,
-               workloads_per_group=2, seeds=(0,), progress=None):
-    """Time one fig4-style sweep grid under the two execution lanes.
-
-    The lanes (same grid, identical simulated work, byte-identical
-    results — asserted before any throughput is reported):
-
-    ``fast``
-        Per-cell hermetic runs: the SingleIPC cache is cleared before
-        every cell, so each cell pays for its own solo runs.  This is
-        the cost model of wide process fan-out and of service workers,
-        where cells land in fresh processes.
-    ``fast-serial``
-        Per-cell runs sharing one in-process SingleIPC cache, as
-        ``repro sweep --jobs 1`` does.
-
-    Returns a JSON-ready dict: the grid identity, per-lane
-    wall/committed-total/aggregate-KIPS records, and ``fast-serial``'s
-    speedup over the hermetic ``fast`` lane.  Raises ``RuntimeError``
-    if the lanes' results diverge — a throughput
-    number for a wrong simulation is worse than no number.
-    """
-    from repro.experiments.parallel import grid_cells, policy_factory
-    from repro.experiments.runner import clear_solo_cache, run_policy
-    from repro.workloads.mixes import get_workload
-
-    base = ExperimentScale.full() if scale is None else scale
-    if mem_latency is None:
-        mem_latency = base.config.mem_latency
-    grid_scale = _bench_scale(base, mem_latency, epochs, warmup)
-    cells = grid_cells(groups=groups, policies=policies, seeds=seeds,
-                       workloads_per_group=workloads_per_group)
-
-    def seeded_for(cell):
-        return (grid_scale if grid_scale.seed == cell.seed
-                else grid_scale.with_overrides(seed=cell.seed))
-
-    def per_cell_lane(hermetic):
-        results = []
-        clear_solo_cache()
-        start = time.perf_counter()  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-        for cell in cells:
-            if hermetic:
-                clear_solo_cache()
-            workload = get_workload(cell.workload)
-            policy = policy_factory(cell.policy, grid_scale)()
-            results.append(run_policy(workload, policy, seeded_for(cell),
-                                      epochs=cell.epochs))
-        wall = time.perf_counter() - start  # repro: allow-nondeterminism[ND101] (throughput measurement, not results)
-        return results, wall
-
-    lanes = {}
-    canonical = None
-    for lane, runner in (("fast", lambda: per_cell_lane(True)),
-                         ("fast-serial", lambda: per_cell_lane(False))):
-        if progress is not None:
-            progress("grid lane %s: %d cells @ mem=%d"
-                     % (lane, len(cells), mem_latency))
-        results, wall = runner()
-        encoded = [json.dumps(result.to_dict(), sort_keys=True)
-                   for result in results]
-        if canonical is None:
-            canonical = encoded
-        elif encoded != canonical:
-            diverged = next(index for index in range(len(cells))
-                            if encoded[index] != canonical[index])
-            raise RuntimeError(
-                "grid lane %r diverged from lane 'fast' on cell %s"
-                % (lane, cells[diverged].label))
-        committed = sum(sum(result.committed) for result in results)
-        lanes[lane] = {
-            "wall_s": wall,
-            "committed": committed,
-            "cycles": sum(result.cycles for result in results),
-            "kips": committed / 1000.0 / wall if wall > 0 else 0.0,
-        }
-    serial = lanes["fast-serial"]
-    serial["speedup_vs_fast"] = (lanes["fast"]["wall_s"] / serial["wall_s"]
-                                 if serial["wall_s"] > 0 else 0.0)
-    clear_solo_cache()
-    return {
-        "groups": list(groups),
-        "policies": list(policies),
-        "workloads_per_group": workloads_per_group,
-        "seeds": list(seeds),
-        "cells": len(cells),
-        "mem_latency": mem_latency,
-        "epochs": epochs,
-        "warmup": warmup,
-        "lanes": lanes,
     }

@@ -2,9 +2,13 @@
 
 Everything here is deterministic given (scale, seed): warmup runs the
 caches/predictors to steady state before measurement (the paper
-fast-forwards to SimPoint regions instead), and stand-alone SingleIPC runs
-are cached per (benchmark, config, seed) because every weighted metric
-needs them.
+fast-forwards to SimPoint regions instead).  Every weighted metric needs
+each thread's stand-alone SingleIPC run, so :func:`solo_ipc` memoizes
+them in a bounded in-process LRU keyed by the full profile value and the
+scale fields the run depends on (config, epoch size, epoch count,
+warmup, seed).  Sweeps persist the same values across processes in the
+result cache (:func:`repro.experiments.parallel.solo_key`) and seed this
+LRU through :func:`remember_solo` before a cell runs.
 """
 
 from collections import OrderedDict, namedtuple
@@ -229,14 +233,22 @@ class _LRUCache:
 _SOLO_CACHE = _LRUCache(SOLO_CACHE_MAXSIZE)
 
 
+def _solo_memo_key(profile, scale):
+    # The whole (frozen) profile, not its name: two profiles that share a
+    # name but differ in any parameter run different solos.
+    return (profile, scale.config, scale.epoch_size, scale.epochs,
+            scale.warmup, scale.seed)
+
+
 def solo_ipc(profile, scale):
     """Stand-alone IPC of one benchmark on the scaled machine (cached).
 
     Measured as an end-to-end run over ``epochs * epoch_size`` cycles after
-    warmup — the paper's "SingleIPC from an end-to-end run".
+    warmup — the paper's "SingleIPC from an end-to-end run".  A miss of
+    the in-process LRU is a derivation, so ``solo_cache_info().misses``
+    counts the solo runs this process actually simulated.
     """
-    key = (profile.name, scale.config, scale.epoch_size, scale.epochs,
-           scale.warmup, scale.seed)
+    key = _solo_memo_key(profile, scale)
     cached = _SOLO_CACHE.get(key)
     if cached is not None:
         return cached
@@ -249,6 +261,16 @@ def solo_ipc(profile, scale):
     value = committed[0] / max(cycles, 1)
     _SOLO_CACHE.put(key, value)
     return value
+
+
+def remember_solo(profile, scale, value):
+    """Seed the LRU with a SingleIPC derived elsewhere (another process,
+    an earlier sweep), so :func:`solo_ipc` returns it without a run.
+
+    Seeding counts neither as a hit nor as a miss; the lookup that later
+    returns the value counts as a hit.
+    """
+    _SOLO_CACHE.put(_solo_memo_key(profile, scale), value)
 
 
 def solo_ipcs(workload, scale):

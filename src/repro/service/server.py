@@ -40,8 +40,10 @@ from repro.experiments.parallel import (
     ResultCache,
     _validate_cell_value,
     cache_key,
+    cell_solo_keys,
     grid_cells,
     merged_json,
+    store_solos,
 )
 from repro.experiments.runner import RunResult
 from repro.reliability.supervisor import (
@@ -806,7 +808,30 @@ class SweepService:
             "scale": task.scale_spec,
             "attempt": attempt,
             "lease_timeout": self.config.lease_timeout,
-            "resume_dir": self.resume_dir})
+            "resume_dir": self.resume_dir,
+            "solos": self._stored_solos(task)})
+
+    def _stored_solos(self, task):
+        """The task's stored SingleIPCs, one per thread (``None``:
+        unknown); a lease carries them so the worker derives none it
+        does not have to."""
+        return [self.cache.get_solo(key)
+                for key in cell_solo_keys(task.cell, task.scale)]
+
+    def _check_solos(self, task, result):
+        """Raise ``ValueError`` if an upload's SingleIPCs contradict the
+        stored ones (a worker running other code than the one that
+        stored them)."""
+        known = self._stored_solos(task)
+        single_ipcs = result.single_ipcs or []
+        if len(single_ipcs) != len(known):
+            raise ValueError("%d SingleIPCs for a %d-thread workload"
+                             % (len(single_ipcs), len(known)))
+        for thread, (stored, value) in enumerate(zip(known, single_ipcs)):
+            if stored is not None and stored != value:
+                raise ValueError(
+                    "thread %d SingleIPC %r contradicts the stored %r"
+                    % (thread, value, stored))
 
     async def _handle_heartbeat(self, worker_id, request, writer):
         payload = request.json()
@@ -851,6 +876,7 @@ class SweepService:
         try:
             result = RunResult.from_dict(payload["result"])
             _validate_cell_value(task.cell, (result, resumed))
+            self._check_solos(task, result)
         except Exception as exc:
             # The node-level analogue of a corrupt pool payload: charge
             # the attempt, never let the bytes near the cache.
@@ -860,6 +886,7 @@ class SweepService:
             await send_response(writer, 400, {"error": "invalid-result"})
             return
         self.cache.put(task.key, task.cell, result)
+        store_solos(self.cache, task.cell, task.scale, result.single_ipcs)
         self._complete_task(task, resumed)
         await send_response(writer, 200, {"ok": True})
 

@@ -4,7 +4,8 @@ A worker owns no scheduling state.  It registers with the daemon, then
 loops: lease one cell, simulate it through the exact same
 :func:`~repro.experiments.parallel._execute_cell` path the process-pool
 workers use (checkpointed into the daemon's shared ``resume_dir``, so a
-reclaimed cell resumes mid-run on whichever node picks it up), renew
+reclaimed cell resumes mid-run on whichever node picks it up, and
+seeded with the SingleIPC values the lease carries), renew
 the lease with heartbeats while the simulation runs on a background
 thread, and upload the ``RunResult``.  Losing the lease (HTTP 410) is
 *not* fatal: the worker finishes and uploads anyway — the result is
@@ -169,7 +170,7 @@ def run_worker(server_url, poll_interval=0.25, max_cells=None,
             try:
                 outcome["value"] = _execute_cell(
                     cell, scale, task["resume_dir"],
-                    attempt=task["attempt"])
+                    attempt=task["attempt"], solos=task.get("solos"))
             except BaseException as exc:  # report, don't die
                 outcome["error"] = "%s: %s" % (type(exc).__name__, exc)
 

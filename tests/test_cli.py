@@ -306,6 +306,9 @@ class TestCacheCLI:
         bucket.mkdir(parents=True)
         (bucket / ("ab" + "0" * 62 + ".json")).write_text('{"ok": 1}')
         (bucket / ("ab" + "1" * 62 + ".corrupt")).write_text("garbage!")
+        solos = tmp_path / "cache" / "solos" / "cd"
+        solos.mkdir(parents=True)
+        (solos / ("cd" + "0" * 62 + ".json")).write_text('{"ok": 1}')
         return str(tmp_path / "cache")
 
     def test_info_reports_corrupt_entries(self, tmp_path, capsys):
@@ -313,6 +316,7 @@ class TestCacheCLI:
         main(["cache", "info", "--cache-dir", cache_dir])
         out = capsys.readouterr().out
         assert "entries          1" in out
+        assert "solo entries     1" in out
         assert "corrupt entries  1" in out
 
     def test_clear_corrupt_only_keeps_valid_entries(self, tmp_path,

@@ -141,6 +141,12 @@ class TestCache:
         seeded = SweepCell(workload=cell.workload, policy=cell.policy,
                            seed=7)
         assert cache_key(seeded, scale) != base
+        # A cell pinning its own epochs still derives SingleIPCs over the
+        # scale's window, so that window is part of the key too.
+        pinned = SweepCell(workload=cell.workload, policy=cell.policy,
+                           epochs=1)
+        assert cache_key(pinned, scale.with_overrides(epochs=2)) \
+            != cache_key(pinned, scale.with_overrides(epochs=5))
 
     def test_code_fingerprint_invalidates_only_its_family(self, scale,
                                                           tmp_path,
