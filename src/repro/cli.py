@@ -438,6 +438,21 @@ def _print_sweep_event(record):
         print(renderer(record))
 
 
+def _supervision_from(args, seed=0):
+    """The ``Supervision`` of ``--cell-timeout``/``--max-attempts``/
+    ``--no-degrade``; a value it rejects exits 2 naming the flag."""
+    from repro.reliability.supervisor import Supervision
+
+    try:
+        return Supervision(cell_timeout=args.cell_timeout,
+                           max_attempts=args.max_attempts,
+                           degrade=not args.no_degrade, seed=seed)
+    except ValueError as exc:
+        _fail("--cell-timeout must be a positive number of seconds"
+              if str(exc).startswith("cell_timeout")
+              else "--max-attempts must be >= 1")
+
+
 def cmd_sweep(args):
     from repro.experiments.parallel import (
         DEFAULT_POLICIES,
@@ -446,17 +461,10 @@ def cmd_sweep(args):
         grid_cells,
         merged_json,
     )
-    from repro.reliability.supervisor import (
-        CellBootstrapError,
-        Supervision,
-        SweepAborted,
-    )
+    from repro.reliability.supervisor import CellBootstrapError, SweepAborted
 
     scale = _scale_from(args)
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        _fail("--cell-timeout must be a positive number of seconds")
-    if args.max_attempts < 1:
-        _fail("--max-attempts must be >= 1")
+    supervision = _supervision_from(args, seed=scale.seed)
     groups = list(args.groups or [])
     policies = list(args.policies or [])
     if args.preset is not None:
@@ -479,12 +487,7 @@ def cmd_sweep(args):
     engine = SweepEngine(
         scale, jobs=args.jobs, cache_dir=args.cache_dir,
         events_path=args.events, resume_dir=args.resume_dir,
-        use_cache=not args.no_cache,
-        supervision=Supervision(
-            cell_timeout=args.cell_timeout,
-            max_attempts=args.max_attempts,
-            degrade=not args.no_degrade,
-            seed=scale.seed),
+        use_cache=not args.no_cache, supervision=supervision,
         on_event=None if args.quiet else _print_sweep_event)
     try:
         results = engine.run_cells(cells)
@@ -553,10 +556,7 @@ def cmd_chaos(args):
     scale = _scale_from(args)
     if args.preset in SERVICE_CHAOS_PRESETS:
         return _cmd_chaos_service(args)
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        _fail("--cell-timeout must be a positive number of seconds")
-    if args.max_attempts < 1:
-        _fail("--max-attempts must be >= 1")
+    _supervision_from(args)  # flag errors exit 2 before any work dir exists
     if args.preset not in CHAOS_PRESETS:
         _fail("unknown chaos preset %r (valid: %s)"
               % (args.preset, ", ".join(sorted(CHAOS_PRESETS))))

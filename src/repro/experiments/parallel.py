@@ -26,15 +26,19 @@ Progress is surfaced as a lightweight JSONL event stream (one object per
 line: sweep/cell lifecycle, done/cached/running counts, ETA, worker
 count) plus an optional ``on_event`` callback for interactive display.
 
-With a :class:`~repro.reliability.supervisor.Supervision` config the
-engine additionally runs every cell under the cell supervisor: per-cell
-heartbeat timeouts, retry with deterministic backoff, pool rebuild after
-``BrokenProcessPool``, quarantine of repeat offenders into a
-``quarantine.jsonl`` ledger, and graceful degrade to in-process serial
-execution (``repro sweep`` enables this by default; see
-docs/RELIABILITY.md "Sweep supervision").  Supervision never changes
-*what* a result is — a fault-free supervised sweep is byte-identical to
-a plain serial one, a contract the ``repro chaos`` harness enforces.
+Every cell the cache cannot serve runs through one path, the cell
+supervisor (:class:`~repro.reliability.supervisor.CellSupervisor`): in
+process at ``jobs=1``, over a process pool otherwise.  With a
+:class:`~repro.reliability.supervisor.Supervision` config it contains
+failures — per-cell heartbeat timeouts, retry with deterministic
+backoff, pool rebuild after ``BrokenProcessPool``, quarantine of repeat
+offenders into a ``quarantine.jsonl`` ledger, graceful degrade to
+in-process serial execution (``repro sweep`` enables this by default;
+see docs/RELIABILITY.md "Sweep supervision").  Without one it runs
+under :data:`~repro.reliability.supervisor.FAIL_FAST`: one attempt, and
+the first failed cell raises.  Supervision never changes *what* a
+result is — a fault-free supervised sweep is byte-identical to a
+fail-fast one, a contract the ``repro chaos`` harness enforces.
 
 The cache directory defaults to ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro-sweeps``; ``python -m repro cache info|clear`` inspects
@@ -42,6 +46,7 @@ and empties it.  docs/PARALLEL.md documents the architecture, the key
 derivation and the invalidation rules.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -50,19 +55,21 @@ import sys
 import tempfile
 import time
 from collections import namedtuple
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.experiments.export import _jsonable
 from repro.experiments.runner import RunResult, remember_solo, run_policy
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
 from repro.reliability.supervisor import (
+    FAIL_FAST,
     SWEEP_EVENTS,
     CellBootstrapError,
     CellResultError,
     CellSupervisor,
     QuarantineLedger,
     Supervision,
+    touch_heartbeat,
 )
 from repro.workloads.mixes import get_workload, workloads_in_group
 
@@ -641,17 +648,6 @@ class ResultCache:
 # ----------------------------------------------------------------------
 
 
-def _touch_heartbeat(path):
-    """Create-or-touch one heartbeat file; never raises (a full disk must
-    not turn a healthy cell into a 'hung' one mid-run)."""
-    try:
-        with open(path, "a"):
-            pass
-        os.utime(path, None)
-    except OSError:
-        pass
-
-
 def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
                   fault_plan=None, solos=None):
     """Simulate one cell (runs inside a worker process).
@@ -663,10 +659,10 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
     resume point), not the result, and would break the determinism
     contract between fresh, resumed and cached runs.
 
-    Supervised sweeps additionally pass a ``heartbeat_path`` (touched
-    once per completed epoch through the guard's ``on_epoch`` hook, so
-    the parent can tell slow from hung), the 1-based ``attempt`` number,
-    and optionally a chaos ``fault_plan`` (duck-typed, picklable; see
+    The supervisor passes the 1-based ``attempt`` number, with a
+    ``cell_timeout`` a ``heartbeat_path`` (touched once per completed
+    epoch through the guard's ``on_epoch`` hook, so the parent can tell
+    slow from hung), and optionally a chaos ``fault_plan`` (picklable; see
     :mod:`repro.reliability.chaos`) whose hooks perturb this attempt.
     Failures raised while *constructing* the cell — unknown workload or
     policy, a broken registry inside the child — are wrapped in
@@ -694,20 +690,17 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
             remember_solo(profile, seeded, value)
     hooks = []
     if heartbeat_path is not None:
-        _touch_heartbeat(heartbeat_path)
-        hooks.append(lambda epoch_id: _touch_heartbeat(heartbeat_path))
+        touch_heartbeat(heartbeat_path)
+        hooks.append(lambda epoch_id: touch_heartbeat(heartbeat_path))
     if fault_plan is not None:
         hooks.append(lambda epoch_id: fault_plan.on_epoch(cell, attempt,
                                                           epoch_id))
     on_epoch = (None if not hooks
                 else lambda epoch_id: [hook(epoch_id) for hook in hooks])
     if resume_dir is not None or on_epoch is not None:
-        from repro.reliability.guard import run_policy_resilient, run_slug
+        from repro.reliability.guard import run_policy_resilient
 
-        run_dir = None
-        if resume_dir is not None:
-            run_dir = os.path.join(
-                resume_dir, run_slug(cell.workload, cell.policy, cell.seed))
+        run_dir = None if resume_dir is None else cell_path(resume_dir, cell)
         result = run_policy_resilient(
             workload, policy, seeded, epochs=cell.epochs, run_dir=run_dir,
             resume=True, sanitize_partitions=False, on_epoch=on_epoch)
@@ -720,6 +713,24 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
     if fault_plan is not None:
         result = fault_plan.transform_result(cell, attempt, result)
     return result, resumed
+
+
+def cell_path(root, cell, suffix=""):
+    """``root/<workload>__<policy>__s<seed><suffix>``: the cell's
+    checkpoint directory under a resume dir, or its heartbeat file."""
+    from repro.reliability.guard import run_slug
+
+    return os.path.join(
+        root, run_slug(cell.workload, cell.policy, cell.seed) + suffix)
+
+
+def ledger_info(cell, key, resume_dir):
+    """The fields a cell's quarantine-ledger record adds to the
+    containment machine's: identity, cache key and checkpoint path."""
+    return {"workload": cell.workload, "policy": cell.policy,
+            "seed": cell.seed, "key": key,
+            "checkpoint": (None if resume_dir is None
+                           else cell_path(resume_dir, cell))}
 
 
 def _validate_cell_value(cell, value):
@@ -791,12 +802,14 @@ class SweepEngine:
         Optional directory for per-cell crash-safe checkpoints; killed
         sweeps resume mid-cell from here (see docs/PARALLEL.md).
     supervision:
-        Optional :class:`~repro.reliability.supervisor.Supervision`:
-        cells then run under the cell supervisor (heartbeat timeouts,
-        retry with backoff, pool rebuild, quarantine, degrade-to-serial
-        — docs/RELIABILITY.md "Sweep supervision").  ``None`` (default)
-        keeps the classic fail-fast behaviour: the first worker
-        exception propagates.
+        Optional :class:`~repro.reliability.supervisor.Supervision`
+        for the cell supervisor every pending cell runs under (heartbeat
+        timeouts, retry with backoff, pool rebuild, quarantine,
+        degrade-to-serial — docs/RELIABILITY.md "Sweep supervision").
+        ``None`` (default) means fail fast: one attempt per cell, and
+        the first failed cell raises
+        :class:`~repro.reliability.supervisor.SupervisorError` naming it
+        and carrying the worker's error; no ledger is written.
     fault_plan:
         Optional picklable chaos plan (:mod:`repro.reliability.chaos`)
         whose hooks perturb supervised workers; test/bench-only.
@@ -831,11 +844,12 @@ class SweepEngine:
         self._work_dir = None
         if supervision is not None:
             # Heartbeats and the quarantine ledger live next to the
-            # checkpoints when resuming, else in a throwaway directory.
-            self._work_dir = resume_dir or tempfile.mkdtemp(
-                prefix="repro-sweep-")
-            os.makedirs(os.path.join(self._work_dir, "heartbeats"),
-                        exist_ok=True)
+            # checkpoints when resuming, else in a per-engine temporary
+            # directory that exists only once something is written there
+            # (heartbeats need a cell_timeout, the ledger a quarantine).
+            self._work_dir = resume_dir or os.path.join(
+                tempfile.gettempdir(),
+                "repro-sweep-" + os.urandom(8).hex())  # repro: allow-nondeterminism[ND102] (unique work-dir name, not results)
 
     @property
     def quarantine_path(self):
@@ -859,25 +873,16 @@ class SweepEngine:
         if self.on_event is not None:
             self.on_event(record)
 
-    def _progress(self, done, cached, running, total, started_at,
-                  finished_live):
-        fields = {"done": done, "cached": cached, "running": running,
-                  "total": total, "workers": self.jobs}
-        if finished_live:
-            per_cell = (time.time() - started_at) / finished_live  # repro: allow-nondeterminism[ND101] (ETA estimate, not results)
-            remaining = total - done
-            fields["eta_s"] = round(
-                per_cell * remaining / max(1, min(self.jobs, remaining)), 1)
-        return fields
-
     # -- execution -------------------------------------------------------
 
     def run_cells(self, cells):
         """Simulate a list of cells; returns results in *request order*.
 
         Duplicate cells are simulated once.  Completed cells come from
-        the in-memory map, then the on-disk cache; the rest fan out over
-        the pool.  Event stream and statistics update as cells land.
+        the in-memory map, then the on-disk cache; the rest run under
+        the cell supervisor.  Event stream and statistics update as
+        cells land.  Quarantined cells (supervised engines only) come
+        back as ``None``.
         """
         cells = list(cells)
         unique = list(dict.fromkeys(cells))
@@ -905,23 +910,15 @@ class SweepEngine:
             # no pool, no supervisor, no max_workers=0 to trip over, and
             # no solo lookups.
             self._solos = self._lookup_solos(pending)
-            if self.supervision is not None:
-                self._run_supervised(pending, cached, len(unique),
-                                     started_at)
-            elif self.jobs == 1:
-                self._run_serial(pending, cached, len(unique), started_at)
-            else:
-                self._run_pool(pending, cached, len(unique), started_at)
+            self._supervise(pending, cached, len(unique), started_at)
         self._emit("sweep-done", total=len(unique), cached=cached,
                    simulated=len(pending),
                    quarantined=len([cell for cell in pending
                                     if cell in self.quarantined]),
                    wall_s=round(time.time() - started_at, 3))  # repro: allow-nondeterminism[ND101] (wall-clock reporting, not results)
-        if self.supervision is not None:
-            # Quarantined cells have no result; callers get None and the
-            # details through ``quarantined`` / the ledger.
-            return [self._memory.get(cell) for cell in cells]
-        return [self._memory[cell] for cell in cells]
+        # Quarantined cells have no result; callers get None and the
+        # details through ``quarantined`` / the ledger.
+        return [self._memory.get(cell) for cell in cells]
 
     def _lookup_solos(self, cells):
         """{cell: stored SingleIPCs per thread} for the cells about to be
@@ -946,141 +943,63 @@ class SweepEngine:
             store_solos(self.cache, cell, self.scale, result.single_ipcs)
         self._memory[cell] = result
 
-    def _run_serial(self, pending, cached, total, started_at):
-        done = cached
-        for index, cell in enumerate(pending):
-            self._emit("cell-start", cell=cell.label,
-                       **self._progress(done, cached, 1, total, started_at,
-                                        index))
-            result, resumed = _execute_cell(
-                cell, self.scale, self.resume_dir,
-                solos=self._solos.get(cell))
-            self._store(cell, result, resumed)
-            done += 1
-            self._emit("cell-done", cell=cell.label, resumed=resumed,
-                       **self._progress(done, cached, 0, total, started_at,
-                                        index + 1))
-
-    def _run_pool(self, pending, cached, total, started_at):
-        done = cached
-        finished_live = 0
-        with ProcessPoolExecutor(max_workers=min(self.jobs,
-                                                 len(pending))) as pool:
-            futures = {}
-            for cell in pending:
-                futures[pool.submit(_execute_cell, cell, self.scale,
-                                    self.resume_dir,
-                                    solos=self._solos.get(cell))] = cell
-                self._emit("cell-start", cell=cell.label,
-                           **self._progress(done, cached, len(futures),
-                                            total, started_at,
-                                            finished_live))
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(outstanding,
-                                             return_when=FIRST_COMPLETED)
-                for future in finished:
-                    cell = futures[future]
-                    result, resumed = future.result()
-                    self._store(cell, result, resumed)
-                    done += 1
-                    finished_live += 1
-                    self._emit(
-                        "cell-done", cell=cell.label, resumed=resumed,
-                        **self._progress(done, cached, len(outstanding),
-                                         total, started_at, finished_live))
-
     # -- supervised execution --------------------------------------------
 
-    def _heartbeat_file(self, cell):
-        from repro.reliability.guard import run_slug
+    def _supervise(self, pending, cached, total, started_at):
+        """Run the pending cells under a :class:`CellSupervisor` (the
+        engine's one run path).  ``cell-start``/``cell-done`` carry the
+        progress fields; the supervisor's other events pass through."""
+        config = self.supervision or FAIL_FAST
+        live = [0]  # cells completed by this run: done = cached + live
+        heartbeats = None
+        if config.cell_timeout is not None:
+            hb_dir = os.path.join(self._work_dir, "heartbeats")
+            os.makedirs(hb_dir, exist_ok=True)
+            heartbeats = functools.partial(cell_path, hb_dir, suffix=".hb")
 
-        return os.path.join(
-            self._work_dir, "heartbeats",
-            run_slug(cell.workload, cell.policy, cell.seed) + ".hb")
-
-    def _ledger_info(self, cell):
-        checkpoint = None
-        if self.resume_dir is not None:
-            from repro.reliability.guard import run_slug
-
-            checkpoint = os.path.join(
-                self.resume_dir,
-                run_slug(cell.workload, cell.policy, cell.seed))
-        return {"workload": cell.workload, "policy": cell.policy,
-                "seed": cell.seed, "key": cache_key(cell, self.scale),
-                "checkpoint": checkpoint}
-
-    def _supervised_hooks(self, cached, total, started_at):
-        """Progress plumbing for the supervised path: an event
-        forwarder that decorates ``cell-start`` with progress fields and
-        the store-and-emit completion callback, over one shared counter
-        state."""
-        counters = {"done": cached, "live": 0}
+        def progress(running):
+            done = cached + live[0]
+            fields = {"done": done, "cached": cached, "running": running,
+                      "total": total, "workers": self.jobs}
+            if live[0]:
+                per_cell = (time.time() - started_at) / live[0]  # repro: allow-nondeterminism[ND101] (ETA estimate, not results)
+                remaining = total - done
+                fields["eta_s"] = round(per_cell * remaining
+                                        / max(1, min(self.jobs, remaining)), 1)
+            return fields
 
         def forward(event, **fields):
             if event == "cell-start":
-                running = fields.pop("running", 0)
-                fields.update(self._progress(
-                    counters["done"], cached, running, total, started_at,
-                    counters["live"]))
+                fields.update(progress(fields.pop("running", 0)))
             self._emit(event, **fields)
 
         def on_result(cell, value, running):
             result, resumed = value
             self._store(cell, result, resumed)
-            counters["done"] += 1
-            counters["live"] += 1
+            live[0] += 1
             self._emit("cell-done", cell=cell.label, resumed=resumed,
-                       **self._progress(counters["done"], cached, running,
-                                        total, started_at,
-                                        counters["live"]))
-
-        return counters, forward, on_result
-
-    def _cell_supervisor(self, forward, on_result):
-        """A :class:`CellSupervisor` wired to this engine's workers,
-        validation, ledger and event stream."""
-        heartbeats = (self._heartbeat_file
-                      if self.supervision.cell_timeout is not None else None)
+                       **progress(running))
 
         def task_args(cell, attempt):
             return (cell, self.scale, self.resume_dir,
-                    self._heartbeat_file(cell) if heartbeats else None,
+                    heartbeats(cell) if heartbeats else None,
                     attempt, self.fault_plan, self._solos.get(cell))
 
-        return CellSupervisor(
+        supervisor = CellSupervisor(
             worker=_execute_cell, task_args=task_args, jobs=self.jobs,
-            config=self.supervision,
-            item_key=lambda cell: cell.label,
-            item_label=lambda cell: cell.label,
-            heartbeat_path=heartbeats,
-            validate=_validate_cell_value, on_result=on_result,
-            emit=forward, ledger=QuarantineLedger(self.quarantine_path),
-            ledger_info=self._ledger_info)
-
-    def _merge_supervisor(self, supervisor):
+            config=config, item_label=lambda cell: cell.label,
+            heartbeat_path=heartbeats, validate=_validate_cell_value,
+            on_result=on_result, emit=forward,
+            ledger=(QuarantineLedger(self.quarantine_path)
+                    if self.supervision is not None else None),
+            ledger_info=lambda cell: ledger_info(
+                cell, cache_key(cell, self.scale), self.resume_dir))
+        supervisor.run(pending)
         self.quarantined.update(supervisor.quarantined)
         self.supervisor_stats["retries"] += supervisor.retries
         self.supervisor_stats["timeouts"] += supervisor.timeouts
         self.supervisor_stats["pool_breaks"] += supervisor.pool_breaks
         self.supervisor_stats["degraded"] |= supervisor.degraded
-
-    def _run_supervised(self, pending, cached, total, started_at):
-        """Fan pending cells out under the cell supervisor.
-
-        Lifecycle events come through with the same progress fields as
-        the plain paths, plus the supervisor's own ``cell-retry`` /
-        ``cell-timeout`` / ``cell-quarantined`` / ``pool-broken`` /
-        ``pool-rebuilt`` / ``sweep-degraded`` events.  Completed cells
-        are validated, cached and counted exactly as unsupervised runs,
-        so a fault-free supervised sweep is byte-identical to one.
-        """
-        __, forward, on_result = self._supervised_hooks(cached, total,
-                                                        started_at)
-        supervisor = self._cell_supervisor(forward, on_result)
-        supervisor.run(pending)
-        self._merge_supervisor(supervisor)
 
     # -- grid conveniences ----------------------------------------------
 
@@ -1193,11 +1112,13 @@ __all__ = [
     "SweepEngine",
     "cache_key",
     "canonical_policy",
+    "cell_path",
     "cell_solo_keys",
     "clear_fingerprint_memo",
     "code_fingerprint",
     "default_cache_dir",
     "grid_cells",
+    "ledger_info",
     "merged_document",
     "merged_json",
     "policy_factory",

@@ -271,8 +271,8 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
 
     A supervised engine runs the grid under the preset's fault plan with
     its own cache, resume dir and quarantine ledger inside a throwaway
-    work directory; a second, unsupervised serial engine then produces
-    the fault-free reference in a separate cache.  The report's ``ok``
+    work directory; a second, fail-fast serial engine then produces the
+    fault-free reference in a separate cache.  The report's ``ok``
     is True when the quarantine count matches the preset's expectation
     and the merged JSON is byte-identical to the reference (for presets
     that quarantine by design, every *surviving* cell record must match

@@ -1,10 +1,9 @@
 """Supervised execution of independent sweep cells.
 
-The parallel sweep engine (:mod:`repro.experiments.parallel`) trusts its
-process pool: one hung worker stalls a whole Figure 9 sweep, and a
-SIGKILLed worker surfaces as a raw :class:`BrokenProcessPool` traceback.
-This module adds the missing containment layer — the cell-level analogue
-of PR 1's epoch-level guard:
+Every cell :class:`~repro.experiments.parallel.SweepEngine` cannot serve
+from its cache runs through :class:`CellSupervisor` — in process at
+``jobs=1``, over a process pool otherwise.  It is the cell-level
+analogue of the epoch-level guard (:mod:`repro.reliability.guard`):
 
 * **heartbeat timeouts** — each supervised cell touches a per-cell
   heartbeat file every completed epoch (the ``on_epoch`` hook of
@@ -25,6 +24,11 @@ of PR 1's epoch-level guard:
   pool collapses with no completed cell in between, remaining cells run
   in-process serially (disable with ``degrade=False``).
 
+The failure rule itself is the pure :class:`Containment` machine,
+shared with the ``repro serve`` daemon's leases.  An engine given no
+:class:`Supervision` runs under :data:`FAIL_FAST`: the first failed
+cell raises.
+
 The module is deliberately stdlib-only: it sits inside the sweep cache's
 code-fingerprint closure (``_CORE_SOURCES``), and importing simulation
 modules from here would widen every cell's fingerprint.  All policy about
@@ -32,8 +36,8 @@ modules from here would widen every cell's fingerprint.  All policy about
 
 Determinism note: supervision changes how results are *produced*, never
 what they are — retries resume from checkpoints, completed cells are
-validated then cached exactly as unsupervised runs, and a fault-free
-supervised sweep is byte-identical to a plain serial one (proved by
+validated then cached the same way on every path, and a fault-free
+supervised sweep is byte-identical to a fail-fast one (proved by
 ``repro chaos``; see docs/RELIABILITY.md "Sweep supervision").
 """
 
@@ -176,6 +180,89 @@ class QuarantineLedger:
 
 
 # ----------------------------------------------------------------------
+# The containment machine
+# ----------------------------------------------------------------------
+
+
+class Containment:
+    """The failure rule :class:`CellSupervisor` and the ``repro serve``
+    daemon share: charge an attempt, back off deterministically,
+    quarantine after ``max_attempts`` — pure, I/O-free bookkeeping the
+    two adapters consult while keeping their own scheduling and I/O.
+
+    Keys are any hashable identity (a sweep cell, a cache key); the
+    ``name`` passed with them (the cell label) seeds the jitter and
+    labels the ledger record.  The four parameters are validated here
+    and nowhere else.
+    """
+
+    def __init__(self, max_attempts=3, retry_base_delay=0.5,
+                 retry_max_delay=30.0, seed=0):
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if retry_base_delay < 0 or retry_max_delay < 0:
+            raise ValueError("retry delays must be >= 0")
+        self.max_attempts = max_attempts
+        self.retry_base_delay = retry_base_delay
+        self.retry_max_delay = retry_max_delay
+        self.seed = seed
+        self.attempts = {}   # key -> failed attempts so far
+        self.failures = {}   # key -> failure descriptions, oldest first
+        self.resolved = {}   # key -> "done" | "quarantined"
+
+    def attempt(self, key):
+        """The 1-based number of ``key``'s next attempt."""
+        return self.attempts.get(key, 0) + 1
+
+    def fail(self, key, name, description):
+        """Charge ``key`` one failed attempt: returns the backoff delay
+        (seconds) before its retry, or ``None`` once ``max_attempts``
+        are used up and the key is quarantined (record: :meth:`entry`).
+        """
+        if key in self.resolved:
+            raise ValueError("cannot charge %r: already %s"
+                             % (key, self.resolved[key]))
+        attempts = self.attempts[key] = self.attempts.get(key, 0) + 1
+        self.failures.setdefault(key, []).append(description)
+        if attempts >= self.max_attempts:
+            self.resolved[key] = "quarantined"
+            return None
+        return backoff_delay(attempts, self.retry_base_delay,
+                             self.retry_max_delay, self.seed, name)
+
+    def succeed(self, key):
+        """Mark ``key`` done; it can no longer be charged."""
+        self.resolved[key] = "done"
+
+    def entry(self, key, name, info=None):
+        """The quarantine-ledger record of ``key``: cell label, attempt
+        count, first line of every failure, the full last error and a
+        wall-clock stamp, plus the adapter's static ``info`` fields."""
+        failures = self.failures.get(key, [])
+        entry = {
+            "cell": name,
+            "attempts": self.attempts.get(key, 0),
+            "failures": [line.splitlines()[0] for line in failures],
+            "last_error": failures[-1] if failures else "",
+            "quarantined_at": round(time.time(), 3),  # repro: allow-nondeterminism[ND101] (ledger timestamp, not results)
+        }
+        entry.update(info or {})
+        return entry
+
+    def saved(self, key):
+        """What a restart needs to resume ``key``'s accounting."""
+        return {"attempts": self.attempts.get(key, 0),
+                "failures": list(self.failures.get(key, []))}
+
+    def restore(self, key, attempts=0, failures=()):
+        """Start ``key`` over from saved accounting (:meth:`saved`);
+        the defaults start it fresh."""
+        self.attempts[key] = int(attempts)
+        self.failures[key] = list(failures)
+        self.resolved.pop(key, None)
+
+
+# ----------------------------------------------------------------------
 # Supervision policy
 # ----------------------------------------------------------------------
 
@@ -211,10 +298,8 @@ class Supervision:
                  seed=0, poll_interval=0.2, degrade_after_breaks=2):
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive or None")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if retry_base_delay < 0 or retry_max_delay < 0:
-            raise ValueError("retry delays must be >= 0")
+        # The containment machine validates the retry parameters.
+        Containment(max_attempts, retry_base_delay, retry_max_delay, seed)
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
         if degrade_after_breaks < 1:
@@ -227,6 +312,12 @@ class Supervision:
         self.seed = seed
         self.poll_interval = poll_interval
         self.degrade_after_breaks = degrade_after_breaks
+
+
+#: What a ``SweepEngine`` given no supervision runs under: one attempt,
+#: no degrade, and the first failed cell raises :class:`SupervisorError`
+#: instead of being quarantined.
+FAIL_FAST = Supervision(max_attempts=1, degrade=False)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +335,9 @@ def _describe_error(exc):
     return text
 
 
-def _touch(path):
+def touch_heartbeat(path):
+    """Create-or-touch one heartbeat file; never raises (a full disk must
+    not turn a healthy cell into a 'hung' one mid-run)."""
     try:
         with open(path, "a"):
             pass
@@ -263,9 +356,9 @@ class CellSupervisor:
         Picklable top-level function executed per task.
     ``task_args(item, attempt)``
         Positional argument tuple for one attempt (1-based) of ``item``.
-    ``item_key(item)`` / ``item_label(item)``
-        Stable string key (seeds the backoff jitter, lands in the
-        ledger) and human-readable label for events.
+    ``item_label(item)``
+        Stable string label: names the item in events and the ledger
+        and seeds its backoff jitter.
     ``heartbeat_path(item)``
         Heartbeat file for ``item``, or ``None`` to skip timeout
         tracking for it.
@@ -282,21 +375,25 @@ class CellSupervisor:
         Optional :class:`QuarantineLedger` plus static per-item fields
         (cell key, checkpoint path) merged into each quarantine record.
 
+    Failures are charged through a :class:`Containment` machine; the
+    supervisor keeps its retry heap, events, ledger write, heartbeat
+    scan and pool loop.  Under :data:`FAIL_FAST` an item out of
+    attempts raises :class:`SupervisorError` instead of quarantining.
+
     After :meth:`run`: ``quarantined`` maps given-up items to their
     ledger entries; ``attempts``, ``retries``, ``timeouts``,
     ``pool_breaks`` and ``degraded`` describe the execution.
     """
 
-    def __init__(self, worker, task_args, jobs, config, item_key=str,
-                 item_label=str, heartbeat_path=None, validate=None,
-                 on_result=None, emit=None, ledger=None, ledger_info=None):
+    def __init__(self, worker, task_args, jobs, config, item_label=str,
+                 heartbeat_path=None, validate=None, on_result=None,
+                 emit=None, ledger=None, ledger_info=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.worker = worker
         self.task_args = task_args
         self.jobs = jobs
         self.config = config
-        self.item_key = item_key
         self.item_label = item_label
         self.heartbeat_path = heartbeat_path
         self.validate = validate
@@ -305,8 +402,9 @@ class CellSupervisor:
         self.ledger = ledger
         self.ledger_info = ledger_info
         self.quarantined = {}
-        self.attempts = {}
-        self.failures = {}
+        self.containment = Containment(
+            config.max_attempts, config.retry_base_delay,
+            config.retry_max_delay, config.seed)
         self.retries = 0
         self.timeouts = 0
         self.pool_breaks = 0
@@ -325,31 +423,16 @@ class CellSupervisor:
         if self.emit is not None:
             self.emit(event, **fields)
 
-    def _label(self, item):
-        return self.item_label(item)
-
-    def _delay_for(self, item):
-        return backoff_delay(
-            self.attempts[item], self.config.retry_base_delay,
-            self.config.retry_max_delay, self.config.seed,
-            self.item_key(item))
-
-    def _heartbeat_file(self, item):
-        if self.heartbeat_path is None:
-            return None
-        return self.heartbeat_path(item)
-
-    def _touch_heartbeat(self, item):
-        path = self._heartbeat_file(item)
-        if path is not None:
-            _touch(path)
+    @property
+    def attempts(self):
+        """{item: failed attempts so far}."""
+        return self.containment.attempts
 
     def _heartbeat_age(self, item, now_wall):
-        path = self._heartbeat_file(item)
-        if path is None:
+        if self.heartbeat_path is None:
             return 0.0
         try:
-            return now_wall - os.stat(path).st_mtime
+            return now_wall - os.stat(self.heartbeat_path(item)).st_mtime
         except OSError:
             return 0.0  # no file yet: the submit-time touch races mkdir
 
@@ -357,15 +440,14 @@ class CellSupervisor:
 
     def _record_failure(self, item, description, waiting):
         """Charge one failed attempt; schedule a retry or quarantine."""
-        self.attempts[item] += 1
-        self.failures.setdefault(item, []).append(description)
-        if self.attempts[item] >= self.config.max_attempts:
+        delay = self.containment.fail(item, self.item_label(item),
+                                      description)
+        if delay is None:
             self._quarantine(item)
             return
-        delay = self._delay_for(item)
         self.retries += 1
-        self._emit("cell-retry", cell=self._label(item),
-                   attempt=self.attempts[item] + 1,
+        self._emit("cell-retry", cell=self.item_label(item),
+                   attempt=self.containment.attempt(item),
                    delay_s=round(delay, 3),
                    error=description.splitlines()[0])
         self._seq += 1
@@ -373,26 +455,21 @@ class CellSupervisor:
             waiting, (time.monotonic() + delay, self._seq, item))  # repro: allow-nondeterminism[ND101] (retry scheduling, not results)
 
     def _quarantine(self, item):
-        failures = self.failures.get(item, [])
-        entry = {
-            "cell": self._label(item),
-            "attempts": self.attempts[item],
-            "failures": [line.splitlines()[0] for line in failures],
-            "last_error": failures[-1] if failures else "",
-            "quarantined_at": round(time.time(), 3),  # repro: allow-nondeterminism[ND101] (ledger timestamp, not results)
-        }
-        if self.ledger_info is not None:
-            entry.update(self.ledger_info(item))
+        entry = self.containment.entry(
+            item, self.item_label(item),
+            self.ledger_info(item) if self.ledger_info else None)
+        if self.config is FAIL_FAST:
+            raise SupervisorError("cell %s failed: %s"
+                                  % (entry["cell"], entry["last_error"]))
         if self.ledger is not None:
             self.ledger.record(entry)
         self.quarantined[item] = entry
-        self._emit("cell-quarantined", cell=self._label(item),
-                   attempts=self.attempts[item],
-                   error=entry["last_error"].splitlines()[0]
-                   if entry["last_error"] else "")
+        self._emit("cell-quarantined", cell=self.item_label(item),
+                   attempts=entry["attempts"], error=entry["failures"][-1])
 
     def _complete(self, item, value, results, running):
         results[item] = value
+        self.containment.succeed(item)
         self._breaks_in_a_row = 0
         if self.on_result is not None:
             self.on_result(item, value, running)
@@ -441,16 +518,15 @@ class CellSupervisor:
         (quarantined items are absent — inspect ``quarantined``)."""
         items = list(items)
         results = {}
-        self.attempts = {item: 0 for item in items}
-        if not items:
-            return results
         try:
-            if self.jobs == 1 or len(items) == 1:
+            if self.jobs == 1 or len(items) <= 1:
                 self._run_serial(items, results)
             else:
                 self._run_pool(items, results)
-        finally:
-            self._close_pool(kill=False)
+        except BaseException:
+            self._close_pool(kill=True)  # an aborted run leaves no workers
+            raise
+        self._close_pool(kill=False)
         return results
 
     # -- serial (jobs=1 and the degrade path) ----------------------------
@@ -473,9 +549,9 @@ class CellSupervisor:
             if not queue:
                 continue
             item = queue.popleft()
-            attempt = self.attempts[item] + 1
-            self._emit("cell-start", cell=self._label(item), attempt=attempt,
-                       running=1)
+            attempt = self.containment.attempt(item)
+            self._emit("cell-start", cell=self.item_label(item),
+                       attempt=attempt, running=1)
             try:
                 value = self.worker(*self.task_args(item, attempt))
                 if self.validate is not None:
@@ -523,8 +599,9 @@ class CellSupervisor:
     def _launch(self, ready, inflight):
         while ready and len(inflight) < self._workers and self._pool is not None:
             item = ready.popleft()
-            attempt = self.attempts[item] + 1
-            self._touch_heartbeat(item)
+            attempt = self.containment.attempt(item)
+            if self.heartbeat_path is not None:
+                touch_heartbeat(self.heartbeat_path(item))
             try:
                 future = self._pool.submit(
                     self.worker, *self.task_args(item, attempt))
@@ -533,8 +610,8 @@ class CellSupervisor:
                 self._close_pool(kill=False)
                 return
             inflight[future] = item
-            self._emit("cell-start", cell=self._label(item), attempt=attempt,
-                       running=len(inflight))
+            self._emit("cell-start", cell=self.item_label(item),
+                       attempt=attempt, running=len(inflight))
 
     def _collect(self, done, inflight, waiting, results):
         """Process finished futures; returns True when the pool broke."""
@@ -547,15 +624,13 @@ class CellSupervisor:
                 value = future.result()
                 if self.validate is not None:
                     self.validate(item, value)
-            except BrokenExecutor as exc:
-                # The executor cannot say which cell's worker died, so
-                # every in-flight cell is charged one attempt (see also
-                # _handle_pool_break for the ones wait() didn't return).
-                broken = True
-                self._record_failure(item, _describe_error(exc), waiting)
             except (KeyboardInterrupt, SystemExit, CellBootstrapError):
                 raise
             except Exception as exc:
+                # A broken executor cannot say which cell's worker died,
+                # so every in-flight cell is charged one attempt (see
+                # _handle_pool_break for the ones wait() didn't return).
+                broken = broken or isinstance(exc, BrokenExecutor)
                 self._record_failure(item, _describe_error(exc), waiting)
             else:
                 self._complete(item, value, results, running=len(inflight))
@@ -594,8 +669,8 @@ class CellSupervisor:
                       if item not in stale_set]
         inflight.clear()
         for item in stale:
-            self._emit("cell-timeout", cell=self._label(item),
-                       attempt=self.attempts[item] + 1,
+            self._emit("cell-timeout", cell=self.item_label(item),
+                       attempt=self.containment.attempt(item),
                        timeout_s=self.config.cell_timeout)
             self._record_failure(
                 item, "CellTimeout: heartbeat stale for more than %.1fs"
@@ -607,6 +682,8 @@ __all__ = [
     "CellBootstrapError",
     "CellResultError",
     "CellSupervisor",
+    "Containment",
+    "FAIL_FAST",
     "QuarantineLedger",
     "SWEEP_EVENTS",
     "Supervision",
@@ -614,4 +691,5 @@ __all__ = [
     "SweepAborted",
     "backoff_delay",
     "deterministic_jitter",
+    "touch_heartbeat",
 ]

@@ -12,15 +12,17 @@ are then *read back from the cache* in request order and serialized by
 service sweep is byte-identical to a serial in-process one: identity
 lives in the cache key, the service only moves bytes.
 
-Failure containment mirrors :class:`CellSupervisor`, lifted from
-process level to node level:
+Failure containment is :class:`CellSupervisor`'s, lifted from process
+level to node level — both are adapters over one
+:class:`~repro.reliability.supervisor.Containment` machine:
 
 * a **lease** (deadline renewed by worker heartbeats) bounds how long a
   dead or stalled node can sit on a cell; expiry reclaims the cell,
-  charges one attempt, and requeues it after the same deterministic
-  :func:`~repro.reliability.supervisor.backoff_delay`;
+  charges one attempt, and requeues it after the machine's
+  deterministic backoff;
 * repeat offenders land in the same append-only ``quarantine.jsonl``
-  ledger format, and the sweep completes around them;
+  ledger, with the record the machine shapes, and the sweep completes
+  around them;
 * an over-full queue answers 429 with ``Retry-After`` (backpressure),
   and per-client quotas keep one client from starving the rest;
 * SIGTERM drains: no new jobs or leases, in-flight cells get a grace
@@ -42,14 +44,15 @@ from repro.experiments.parallel import (
     cache_key,
     cell_solo_keys,
     grid_cells,
+    ledger_info,
     merged_json,
     store_solos,
 )
 from repro.experiments.runner import RunResult
 from repro.reliability.supervisor import (
     SWEEP_EVENTS,
+    Containment,
     QuarantineLedger,
-    backoff_delay,
 )
 from repro.service import protocol
 from repro.service.httpd import (
@@ -68,8 +71,9 @@ class ServiceConfig:
     ``queue_limit`` bounds the total backlog (queued + waiting + leased
     cells) across all jobs; ``client_quota`` bounds one client's share
     of it.  ``lease_timeout`` is the heartbeat staleness after which a
-    worker is presumed dead; ``max_attempts``/``retry_*`` mirror the
-    :class:`~repro.reliability.supervisor.Supervision` defaults.
+    worker is presumed dead; ``max_attempts``/``retry_*``/``seed`` are
+    the :class:`~repro.reliability.supervisor.Containment` parameters,
+    validated there as for a sweep's ``Supervision``.
     ``state_dir`` holds the job journal, the queue snapshot, the
     quarantine ledger and the shared ``resume`` checkpoints — give
     every daemon its own.
@@ -86,8 +90,8 @@ class ServiceConfig:
             raise ValueError("client_quota must be >= 1")
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        # The containment machine validates the retry parameters.
+        Containment(max_attempts, retry_base_delay, retry_max_delay, seed)
         self.host = host
         self.port = port
         self.cache_dir = cache_dir
@@ -105,11 +109,11 @@ class ServiceConfig:
 
 
 class _Task:
-    """One unique cache key's worth of work, shared across jobs."""
+    """One unique cache key's worth of work, shared across jobs (its
+    attempts and failures live in the service's containment machine)."""
 
-    __slots__ = ("key", "cell", "scale", "scale_spec", "state", "attempts",
-                 "failures", "worker", "lease_deadline", "not_before",
-                 "jobs")
+    __slots__ = ("key", "cell", "scale", "scale_spec", "state", "worker",
+                 "lease_deadline", "not_before", "jobs")
 
     def __init__(self, key, cell, scale, scale_spec):
         self.key = key
@@ -117,8 +121,6 @@ class _Task:
         self.scale = scale
         self.scale_spec = scale_spec
         self.state = "queued"   # queued | waiting | leased | done | quarantined
-        self.attempts = 0       # failed attempts so far
-        self.failures = []
         self.worker = None
         self.lease_deadline = None
         self.not_before = None
@@ -163,6 +165,9 @@ class SweepService:
         self.resume_dir = os.path.join(self.state_dir, "resume")
         self.ledger = QuarantineLedger(
             os.path.join(self.state_dir, "quarantine.jsonl"))
+        self.containment = Containment(
+            config.max_attempts, config.retry_base_delay,
+            config.retry_max_delay, config.seed)
         self._journal_path = os.path.join(self.state_dir, "jobs.jsonl")
         self._snapshot_path = os.path.join(self.state_dir,
                                            "queue-state.json")
@@ -238,12 +243,10 @@ class SweepService:
         unresolved = {}
         for key, task in self.tasks.items():
             if task.state in ("queued", "waiting", "leased"):
-                unresolved[key] = {
-                    "cell": protocol.cell_spec(task.cell),
-                    "scale": task.scale_spec,
-                    "attempts": task.attempts,
-                    "failures": task.failures,
-                }
+                unresolved[key] = dict(
+                    self.containment.saved(key),
+                    cell=protocol.cell_spec(task.cell),
+                    scale=task.scale_spec)
         snapshot = {"tasks": unresolved}
         tmp = self._snapshot_path + ".tmp.%d" % os.getpid()
         with open(tmp, "w") as handle:  # repro: allow-async[AS301] drain-time snapshot to local tmp file
@@ -311,13 +314,11 @@ class SweepService:
                 job.pending.add(key)
                 task = self.tasks.get(key)
                 if task is None:
-                    task = _Task(key, cell, scale, rec["scale"])
-                    saved = snapshot.get(key)
-                    if saved:
-                        task.attempts = int(saved.get("attempts", 0))
-                        task.failures = list(saved.get("failures", []))
-                    self.tasks[key] = task
-                    self._ready.append(key)
+                    saved = snapshot.get(key) or {}
+                    task = self._new_task(
+                        key, cell, scale, rec["scale"],
+                        attempts=saved.get("attempts", 0),
+                        failures=saved.get("failures", ()))
                 task.jobs.add(job.id)
             self._emit(job, "service-resumed", pending=len(job.pending),
                        cached=job.cached)
@@ -365,6 +366,15 @@ class SweepService:
         return sum(len(job.pending) for job in self.jobs.values()
                    if job.client == client and not job.done)
 
+    def _new_task(self, key, cell, scale, scale_spec, attempts=0,
+                  failures=()):
+        """Queue a fresh task, its accounting started over (or restored
+        from a queue snapshot)."""
+        task = self.tasks[key] = _Task(key, cell, scale, scale_spec)
+        self.containment.restore(key, attempts, failures)
+        self._ready.append(key)
+        return task
+
     def _next_ready_task(self):
         while self._ready:
             key = self._ready.pop(0)
@@ -374,48 +384,35 @@ class SweepService:
         return None
 
     def _charge_failure(self, task, description):
-        """One failed attempt: retry after deterministic backoff, or
-        quarantine — the CellSupervisor ledger semantics, node-level."""
+        """One failed attempt, charged through the containment machine:
+        requeue after its backoff delay, or quarantine."""
         task.worker = None
         task.lease_deadline = None
-        task.attempts += 1
-        task.failures.append(description)
-        if task.attempts >= self.config.max_attempts:
+        delay = self.containment.fail(task.key, task.cell.label,
+                                      description)
+        if delay is None:
             self._quarantine(task)
             return
-        delay = backoff_delay(task.attempts, self.config.retry_base_delay,
-                              self.config.retry_max_delay, self.config.seed,
-                              task.cell.label)
+        attempt = self.containment.attempt(task.key)
         task.state = "waiting"
         task.not_before = time.monotonic() + delay  # repro: allow-nondeterminism[ND101] (retry backoff timer)
         self.stats["retries"] += 1
         self._emit_task(task, "cell-retry", cell=task.cell.label,
-                        attempt=task.attempts + 1, delay_s=round(delay, 3),
+                        attempt=attempt, delay_s=round(delay, 3),
                         error=description.splitlines()[0])
         self._emit_task(task, "cell-requeued", cell=task.cell.label,
-                        attempt=task.attempts + 1)
+                        attempt=attempt)
 
     def _quarantine(self, task):
-        entry = {
-            "cell": task.cell.label,
-            "attempts": task.attempts,
-            "failures": [line.splitlines()[0] for line in task.failures],
-            "last_error": task.failures[-1] if task.failures else "",
-            "quarantined_at": round(time.time(), 3),  # repro: allow-nondeterminism[ND101] (ledger timestamp)
-            "workload": task.cell.workload,
-            "policy": task.cell.policy,
-            "seed": task.cell.seed,
-            "key": task.key,
-            "checkpoint": os.path.join(self.resume_dir,
-                                       self._run_slug(task.cell)),
-        }
+        entry = self.containment.entry(
+            task.key, task.cell.label,
+            ledger_info(task.cell, task.key, self.resume_dir))
         self.ledger.record(entry)
         task.state = "quarantined"
         self.stats["quarantined"] += 1
         self._emit_task(task, "cell-quarantined", cell=task.cell.label,
-                        attempts=task.attempts,
-                        error=entry["last_error"].splitlines()[0]
-                        if entry["last_error"] else "")
+                        attempts=entry["attempts"],
+                        error=entry["failures"][-1])
         for job_id in list(task.jobs):
             job = self.jobs.get(job_id)
             if job is None or job.done:
@@ -426,6 +423,7 @@ class SweepService:
                 self._finish_job(job)
 
     def _complete_task(self, task, resumed):
+        self.containment.succeed(task.key)
         task.state = "done"
         task.worker = None
         task.lease_deadline = None
@@ -450,12 +448,6 @@ class SweepService:
         self._emit(job, "job-done", job=job.id,
                    quarantined=len(job.quarantined))
         self._journal({"job": job.id, "done": True})
-
-    @staticmethod
-    def _run_slug(cell):
-        from repro.reliability.guard import run_slug
-
-        return run_slug(cell.workload, cell.policy, cell.seed)
 
     async def _tick_loop(self):
         while True:
@@ -658,9 +650,7 @@ class SweepService:
                    pending=pending_count, jobs=len(self.workers))
         for cell, key, task in new_tasks:
             if task is None:
-                task = _Task(key, cell, scale, job.scale_spec)
-                self.tasks[key] = task
-                self._ready.append(key)
+                task = self._new_task(key, cell, scale, job.scale_spec)
             task.jobs.add(job.id)
             job.pending.add(key)
         if not job.pending:
@@ -794,7 +784,7 @@ class SweepService:
         task.lease_deadline = time.monotonic() + self.config.lease_timeout  # repro: allow-nondeterminism[ND101] (lease timer)
         entry["task"] = task.key
         self.stats["leases"] += 1
-        attempt = task.attempts + 1
+        attempt = self.containment.attempt(task.key)
         self._emit_task(task, "cell-leased", cell=task.cell.label,
                         worker=worker_id, attempt=attempt)
         for job_id in task.jobs:
