@@ -4,8 +4,7 @@ Builds a file-level import graph without executing any code: every
 ``import`` / ``from ... import`` statement in every module of the package
 becomes an edge to the module file it resolves to (imports of external
 packages are ignored).  The graph is the substrate of the fingerprint
-auditor and of the ``REPRO_FINGERPRINT_MODE=graph`` cache-key mode, so
-its semantics are deliberately conservative:
+auditor, so its semantics are deliberately conservative:
 
 * **Function-level (lazy) imports count.**  A module imported inside a
   function still runs that module's code when the function executes, so
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.analysis.lint.findings import DISPATCH_RE
 
-__all__ = ["ImportEdge", "ImportGraph", "build_graph", "closure_files"]
+__all__ = ["ImportEdge", "ImportGraph", "build_graph"]
 
 
 @dataclass(frozen=True)
@@ -242,15 +241,3 @@ def build_graph(root: str, package: str) -> ImportGraph:
         edges.extend(collector.edges)
     return ImportGraph(root=root, package=package, files=files,
                        edges=tuple(edges))
-
-
-def closure_files(root: str, package: str,
-                  entries: tuple[str, ...]) -> tuple[str, ...]:
-    """Sorted results-affecting closure from entry files — the file list
-    hashed by ``REPRO_FINGERPRINT_MODE=graph`` (see
-    :func:`repro.experiments.parallel.code_fingerprint`)."""
-    graph = build_graph(root, package)
-    missing = [rel for rel in entries if rel not in set(graph.files)]
-    if missing:
-        raise ValueError("unknown entry module(s): %s" % ", ".join(missing))
-    return tuple(sorted(graph.closure(tuple(entries))))

@@ -34,11 +34,12 @@ Commands
 ``chaos``
     Fault-injection harness: run a tiny grid while injecting faults per
     ``--preset`` and verify the merged results converge to a fault-free
-    serial reference.  Pool presets (kill-one-worker, kill-storm, ...)
-    abuse the sweep supervisor; service presets (kill-worker,
-    worker-storm, slow-client, queue-flood, split-result) abuse a live
-    ``repro serve`` daemon and its worker fleet (docs/SERVICE.md).
-    Exits non-zero when results diverge.
+    serial reference.  One preset table names each preset's tier: pool
+    presets (kill-one-worker, kill-storm, ...) abuse the sweep
+    supervisor; service presets (kill-worker, worker-storm, slow-client,
+    queue-flood, split-result) abuse a live ``repro serve`` daemon and
+    its worker fleet (docs/SERVICE.md).  Exits non-zero when results
+    diverge.
 ``serve``
     The sweep service daemon: accept sweep jobs over HTTP/JSON, shard
     cells across pull-based ``repro worker`` processes under leases
@@ -233,15 +234,13 @@ def cmd_run(args):
     print("running %s under %s (%d epochs x %d cycles)..."
           % (workload.name, policy.name, scale.epochs, scale.epoch_size))
     if _resilient_requested(args):
-        from repro.reliability.guard import run_policy_resilient, run_slug
+        from repro.experiments.parallel import run_path
+        from repro.reliability.guard import run_policy_resilient
 
         run_dir = None
         if args.resume_dir is not None:
-            import os
-
-            run_dir = os.path.join(
-                args.resume_dir,
-                run_slug(workload.name, policy.name, scale.seed))
+            run_dir = run_path(args.resume_dir, workload.name, args.policy,
+                               scale)
         result = run_policy_resilient(workload, policy, scale,
                                       run_dir=run_dir, resume=True,
                                       log=lambda msg: print("[resilient] %s"
@@ -526,50 +525,20 @@ def cmd_sweep(args):
     return 1 if engine.quarantined else 0
 
 
-def _cmd_chaos_service(args):
-    """Service-tier chaos presets: a live daemon + worker subprocesses."""
-    from repro.service.chaos import run_service_chaos
-
-    report = run_service_chaos(
-        args.preset, scale_name=args.scale, keep=args.keep,
-        work_dir=args.work_dir, epochs=args.epochs,
-        log=None if args.quiet else (lambda msg: print("[chaos] %s" % msg)))
-    print("[chaos] preset=%s cells=%d jobs=%d retries=%d "
-          "lease_expiries=%d invalid_results=%d throttled=%d"
-          % (report["preset"], len(report["cells"]), report["jobs"],
-             report["retries"], report["lease_expiries"],
-             report["invalid_results"], report["throttled"]))
-    print("[chaos] quarantined: %d (expected %d)"
-          % (report["quarantined"], report["expected_quarantined"]))
-    print("[chaos] merged results %s the fault-free serial reference"
-          % ("match" if report["identical"] else "DIVERGE from"))
-    if report["work_dir"] is not None:
-        print("[chaos] work dir kept at %s" % report["work_dir"])
-    print("[chaos] %s" % ("OK" if report["ok"] else "FAILED"))
-    return 0 if report["ok"] else 1
-
-
 def cmd_chaos(args):
-    from repro.reliability.chaos import CHAOS_PRESETS, run_chaos
-    from repro.service.chaos import SERVICE_CHAOS_PRESETS
+    from repro.reliability.chaos import run_chaos
 
     scale = _scale_from(args)
-    if args.preset in SERVICE_CHAOS_PRESETS:
-        return _cmd_chaos_service(args)
     _supervision_from(args)  # flag errors exit 2 before any work dir exists
-    if args.preset not in CHAOS_PRESETS:
-        _fail("unknown chaos preset %r (valid: %s)"
-              % (args.preset, ", ".join(sorted(CHAOS_PRESETS))))
     report = run_chaos(
         args.preset, scale, jobs=args.jobs, cell_timeout=args.cell_timeout,
         max_attempts=args.max_attempts, degrade=not args.no_degrade,
         keep=args.keep, work_dir=args.work_dir,
         log=None if args.quiet else (lambda msg: print("[chaos] %s" % msg)))
-    print("[chaos] preset=%s cells=%d retries=%d timeouts=%d "
-          "pool_breaks=%d degraded=%s resumed=%d"
-          % (report["preset"], len(report["cells"]), report["retries"],
-             report["timeouts"], report["pool_breaks"],
-             report["degraded"], report["resumed"]))
+    print("[chaos] preset=%s tier=%s cells=%d %s"
+          % (report["preset"], report["tier"], len(report["cells"]),
+             " ".join("%s=%s" % (name, report[name])
+                      for name in report["counters"])))
     print("[chaos] quarantined: %d (expected %d)%s"
           % (len(report["quarantined"]), report["expected_quarantined"],
              " — " + ", ".join(report["quarantined"])
@@ -951,20 +920,17 @@ def build_parser():
     _add_scale_args(sub)
     sub.set_defaults(func=cmd_sweep)
 
+    from repro.reliability.chaos import CHAOS_PRESETS
+
     sub = commands.add_parser(
         "chaos",
-        help="fault-injection harness for the sweep supervisor: inject "
-             "worker kills/hangs/corruption and verify convergence")
+        help="fault-injection harness for the sweep supervisor and the "
+             "service daemon: inject faults and verify convergence")
     sub.add_argument("--preset", default="kill-one-worker",
-                     choices=("corrupt-result", "flaky-cells",
-                              "hang-one-cell", "kill-one-worker",
-                              "kill-storm", "kill-worker", "poison-cell",
-                              "queue-flood", "slow-client",
-                              "split-result", "worker-storm"),
-                     help="fault scenario: pool presets (see repro."
-                          "reliability.chaos.CHAOS_PRESETS) or service "
-                          "presets (repro.service.chaos."
-                          "SERVICE_CHAOS_PRESETS)")
+                     choices=sorted(CHAOS_PRESETS),
+                     help="fault scenario (repro.reliability.chaos."
+                          "CHAOS_PRESETS): pool presets abuse the sweep "
+                          "supervisor, service presets a live daemon")
     sub.add_argument("--jobs", type=int, default=2, metavar="N",
                      help="worker processes for the chaos sweep")
     sub.add_argument("--cell-timeout", type=float, default=None,

@@ -13,8 +13,9 @@ a content-addressed on-disk cache, so that
   fingerprint — see :func:`cache_key`);
 * a killed sweep resumes: completed cells return from the cache, and with
   a ``resume_dir`` each in-flight cell checkpoints per epoch through
-  :func:`repro.reliability.guard.run_policy_resilient` and continues from
-  its last good epoch;
+  :func:`repro.reliability.guard.run_policy_resilient` into a directory
+  named by its cache key (:func:`cell_path`) and continues from its last
+  good epoch;
 * merged results are deterministic — cell order follows the *request*
   order, never completion order, so ``jobs=4`` produces byte-identical
   JSON to ``jobs=1`` (:func:`merged_json`);
@@ -46,7 +47,6 @@ and empties it.  docs/PARALLEL.md documents the architecture, the key
 derivation and the invalidation rules.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -191,9 +191,7 @@ def grid_cells(workloads=None, groups=None, policies=DEFAULT_POLICIES,
 #: Entry modules whose transitive import closure defines "code every cell
 #: depends on".  ``repro lint`` (the fingerprint auditor, rule FP001)
 #: proves that ``_CORE_SOURCES`` + ``_POLICY_SOURCES[family]`` covers the
-#: import closure of ``_CORE_ENTRIES`` + ``_FAMILY_ENTRIES[family]``; the
-#: opt-in ``REPRO_FINGERPRINT_MODE=graph`` fingerprint hashes the closure
-#: itself (see :func:`code_fingerprint`).
+#: import closure of ``_CORE_ENTRIES`` + ``_FAMILY_ENTRIES[family]``.
 _CORE_ENTRIES = ("experiments/runner.py", "experiments/parallel.py")
 
 #: Per-family entry modules: the lazily imported policy implementations.
@@ -218,8 +216,7 @@ _FAMILY_ENTRIES = {
 #: guard the resumable path executes under), the policy registry and the
 #: default fetch policy (ICOUNT drives both default fetch priority and
 #: SingleIPC runs).  Package ``__init__`` files are hashed because
-#: importing any closure module executes them; the graph-mode fingerprint
-#: additionally depends on the import-graph builder itself.
+#: importing any closure module executes them.
 _CORE_SOURCES = (
     # Directory entries hash every .py under them, so the run-loop core
     # modules (pipeline/fastpath.py, pipeline/profile.py) are covered by
@@ -228,8 +225,6 @@ _CORE_SOURCES = (
     "pipeline", "memory", "branch", "workloads",
     "__init__.py", "core/__init__.py", "experiments/__init__.py",
     "policies/__init__.py", "reliability/__init__.py",
-    "analysis/__init__.py", "analysis/lint/__init__.py",
-    "analysis/lint/findings.py", "analysis/lint/importgraph.py",
     "core/controller.py", "core/metrics.py",
     "policies/base.py", "policies/icount.py",
     "experiments/runner.py", "experiments/parallel.py",
@@ -255,7 +250,7 @@ _POLICY_SOURCES = {
                    "core/partition.py", "phase"),
 }
 
-#: Memoized fingerprints, keyed by (mode, family).
+#: Memoized fingerprints, keyed by family.
 _fingerprint_memo = {}
 
 
@@ -278,25 +273,8 @@ def _iter_source_files(root, rel):
                 yield os.path.relpath(full, root), full
 
 
-def fingerprint_mode():
-    """``static`` (default: hash the audited hand lists) or ``graph``
-    (hash the transitive import closure computed from the AST), selected
-    by the ``REPRO_FINGERPRINT_MODE`` environment variable."""
-    mode = os.environ.get("REPRO_FINGERPRINT_MODE", "static")
-    if mode not in ("static", "graph"):
-        raise ValueError(
-            "REPRO_FINGERPRINT_MODE must be 'static' or 'graph', got %r"
-            % mode)
-    return mode
-
-
-def _fingerprint_files(root, family, mode):
+def _fingerprint_files(root, family):
     """Package-relative source files one family's fingerprint hashes."""
-    if mode == "graph":
-        from repro.analysis.lint.importgraph import closure_files
-
-        return closure_files(root, "repro",
-                             _CORE_ENTRIES + _FAMILY_ENTRIES[family])
     files = []
     for rel in _CORE_SOURCES + _POLICY_SOURCES[family]:
         files.extend(relpath for relpath, _ in _iter_source_files(root, rel))
@@ -308,28 +286,26 @@ def code_fingerprint(policy):
 
     The fingerprint covers the simulator substrate plus the policy's own
     module(s), so editing ``policies/dcra.py`` invalidates DCRA cells
-    only, while editing the pipeline invalidates everything.  In the
-    default ``static`` mode the file set is the audited hand lists
-    (``repro lint`` proves them sufficient); ``REPRO_FINGERPRINT_MODE=
-    graph`` derives the set from the import graph instead.
+    only, while editing the pipeline invalidates everything.  The file
+    set is the audited hand lists (``repro lint`` proves them
+    sufficient).
     """
     family = canonical_policy(policy)
     if family.startswith("PHASE-HILL"):
         family = "PHASE-HILL"
     elif family.startswith("HILL"):
         family = "HILL"
-    mode = fingerprint_mode()
-    memo = _fingerprint_memo.get((mode, family))
+    memo = _fingerprint_memo.get(family)
     if memo is not None:
         return memo
     root = _package_root()
     digest = hashlib.sha256()
-    for relpath in _fingerprint_files(root, family, mode):
+    for relpath in _fingerprint_files(root, family):
         digest.update(relpath.encode())
         with open(os.path.join(root, relpath), "rb") as handle:
             digest.update(hashlib.sha256(handle.read()).digest())
     value = digest.hexdigest()
-    _fingerprint_memo[(mode, family)] = value
+    _fingerprint_memo[family] = value
     return value
 
 
@@ -648,16 +624,17 @@ class ResultCache:
 # ----------------------------------------------------------------------
 
 
-def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
+def _execute_cell(cell, scale, run_dir, heartbeat_path=None, attempt=1,
                   fault_plan=None, solos=None):
     """Simulate one cell (runs inside a worker process).
 
-    With ``resume_dir`` the run goes through the PR 1 resilient runner:
-    per-epoch crash-safe checkpoints in a per-cell subdirectory, so a
-    killed sweep continues mid-cell.  The attached ``reliability`` report
-    is dropped before caching — it describes the *execution* (retries,
-    resume point), not the result, and would break the determinism
-    contract between fresh, resumed and cached runs.
+    With ``run_dir`` (the cell's :func:`cell_path` under a resume dir)
+    the run goes through the resilient runner: per-epoch crash-safe
+    checkpoints there, so a killed sweep continues mid-cell.  The
+    attached ``reliability`` report is dropped before caching — it
+    describes the *execution* (retries, resume point), not the result,
+    and would break the determinism contract between fresh, resumed and
+    cached runs.
 
     The supervisor passes the 1-based ``attempt`` number, with a
     ``cell_timeout`` a ``heartbeat_path`` (touched once per completed
@@ -697,10 +674,9 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
                                                           epoch_id))
     on_epoch = (None if not hooks
                 else lambda epoch_id: [hook(epoch_id) for hook in hooks])
-    if resume_dir is not None or on_epoch is not None:
+    if run_dir is not None or on_epoch is not None:
         from repro.reliability.guard import run_policy_resilient
 
-        run_dir = None if resume_dir is None else cell_path(resume_dir, cell)
         result = run_policy_resilient(
             workload, policy, seeded, epochs=cell.epochs, run_dir=run_dir,
             resume=True, sanitize_partitions=False, on_epoch=on_epoch)
@@ -715,13 +691,21 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
     return result, resumed
 
 
-def cell_path(root, cell, suffix=""):
-    """``root/<workload>__<policy>__s<seed><suffix>``: the cell's
-    checkpoint directory under a resume dir, or its heartbeat file."""
-    from repro.reliability.guard import run_slug
+def cell_path(root, key, suffix=""):
+    """``root/<cache key><suffix>``: the checkpoint directory under a
+    resume dir, or the heartbeat file, of the cell with cache ``key``.
+    Naming by the key means a resume dir reused at another scale, epoch
+    count or code version never serves a checkpoint of another cell."""
+    return os.path.join(root, key + suffix)
 
-    return os.path.join(
-        root, run_slug(cell.workload, cell.policy, cell.seed) + suffix)
+
+def run_path(root, workload, policy, scale, epochs=None):
+    """:func:`cell_path` of a single run (``repro run``/``compare``):
+    the canonical cell of ``workload`` under ``policy`` at the scale's
+    seed."""
+    cell = SweepCell(workload=workload, policy=canonical_policy(policy),
+                     seed=scale.seed, epochs=epochs)
+    return cell_path(root, cache_key(cell, scale))
 
 
 def ledger_info(cell, key, resume_dir):
@@ -730,7 +714,7 @@ def ledger_info(cell, key, resume_dir):
     return {"workload": cell.workload, "policy": cell.policy,
             "seed": cell.seed, "key": key,
             "checkpoint": (None if resume_dir is None
-                           else cell_path(resume_dir, cell))}
+                           else cell_path(resume_dir, key))}
 
 
 def _validate_cell_value(cell, value):
@@ -799,8 +783,9 @@ class SweepEngine:
     on_event:
         Optional callable receiving each event dict (for live display).
     resume_dir:
-        Optional directory for per-cell crash-safe checkpoints; killed
-        sweeps resume mid-cell from here (see docs/PARALLEL.md).
+        Optional directory for per-cell crash-safe checkpoints, one
+        subdirectory per cache key; killed sweeps resume mid-cell from
+        here (see docs/PARALLEL.md).
     supervision:
         Optional :class:`~repro.reliability.supervisor.Supervision`
         for the cell supervisor every pending cell runs under (heartbeat
@@ -910,7 +895,8 @@ class SweepEngine:
             # no pool, no supervisor, no max_workers=0 to trip over, and
             # no solo lookups.
             self._solos = self._lookup_solos(pending)
-            self._supervise(pending, cached, len(unique), started_at)
+            self._supervise(pending, keys, cached, len(unique),
+                            started_at)
         self._emit("sweep-done", total=len(unique), cached=cached,
                    simulated=len(pending),
                    quarantined=len([cell for cell in pending
@@ -935,19 +921,19 @@ class SweepEngine:
             solos[cell] = [found[key] for key in keys]
         return solos
 
-    def _store(self, cell, result, resumed):
+    def _store(self, cell, key, result, resumed):
         if resumed:
             self.stats["resumed"] += 1
         if self.cache is not None:
-            self.cache.put(cache_key(cell, self.scale), cell, result)
+            self.cache.put(key, cell, result)
             store_solos(self.cache, cell, self.scale, result.single_ipcs)
         self._memory[cell] = result
 
     # -- supervised execution --------------------------------------------
 
-    def _supervise(self, pending, cached, total, started_at):
-        """Run the pending cells under a :class:`CellSupervisor` (the
-        engine's one run path).  ``cell-start``/``cell-done`` carry the
+    def _supervise(self, pending, keys, cached, total, started_at):
+        """Run the pending cells (``keys``: their cache keys) under a
+        :class:`CellSupervisor` (the engine's one run path).  ``cell-start``/``cell-done`` carry the
         progress fields; the supervisor's other events pass through."""
         config = self.supervision or FAIL_FAST
         live = [0]  # cells completed by this run: done = cached + live
@@ -955,7 +941,7 @@ class SweepEngine:
         if config.cell_timeout is not None:
             hb_dir = os.path.join(self._work_dir, "heartbeats")
             os.makedirs(hb_dir, exist_ok=True)
-            heartbeats = functools.partial(cell_path, hb_dir, suffix=".hb")
+            heartbeats = lambda cell: cell_path(hb_dir, keys[cell], ".hb")
 
         def progress(running):
             done = cached + live[0]
@@ -975,13 +961,15 @@ class SweepEngine:
 
         def on_result(cell, value, running):
             result, resumed = value
-            self._store(cell, result, resumed)
+            self._store(cell, keys[cell], result, resumed)
             live[0] += 1
             self._emit("cell-done", cell=cell.label, resumed=resumed,
                        **progress(running))
 
         def task_args(cell, attempt):
-            return (cell, self.scale, self.resume_dir,
+            return (cell, self.scale,
+                    cell_path(self.resume_dir, keys[cell])
+                    if self.resume_dir else None,
                     heartbeats(cell) if heartbeats else None,
                     attempt, self.fault_plan, self._solos.get(cell))
 
@@ -993,7 +981,7 @@ class SweepEngine:
             ledger=(QuarantineLedger(self.quarantine_path)
                     if self.supervision is not None else None),
             ledger_info=lambda cell: ledger_info(
-                cell, cache_key(cell, self.scale), self.resume_dir))
+                cell, keys[cell], self.resume_dir))
         supervisor.run(pending)
         self.quarantined.update(supervisor.quarantined)
         self.supervisor_stats["retries"] += supervisor.retries
@@ -1123,6 +1111,7 @@ __all__ = [
     "merged_json",
     "policy_factory",
     "pool_map",
+    "run_path",
     "solo_key",
     "store_solos",
 ]

@@ -18,9 +18,11 @@ See ``docs/RELIABILITY.md`` for the full story; the short version:
   pool rebuild after ``BrokenProcessPool``, a ``quarantine.jsonl``
   ledger, and graceful degrade to serial execution.
 * :mod:`repro.reliability.chaos` — the ``python -m repro chaos``
-  harness: configurable worker faults (SIGKILL at epoch N, hangs,
-  corrupted payloads, flakes) proving the supervisor converges to the
-  same merged results.
+  harness, one preset table for both tiers: configurable worker faults
+  (SIGKILL at epoch N, hangs, corrupted payloads, flakes) for the
+  supervisor, daemon faults via :mod:`repro.service.chaos`, and one
+  fault-free reference proving each converges to the same merged
+  results.
 * :mod:`repro.reliability.verify` — the ``python -m repro verify``
   suite (clean invariants + fault matrix).
 """

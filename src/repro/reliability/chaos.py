@@ -1,4 +1,4 @@
-"""Chaos harness for the supervised sweep engine.
+"""The chaos harness: faults may cost a sweep time, never bytes.
 
 The supervisor's whole value proposition is a *negative* claim — no
 single worker death, hang, or garbage payload changes a sweep's merged
@@ -23,11 +23,16 @@ fire only inside worker processes (``os.getpid() != parent_pid``) —
 never in the parent, never in the supervisor's degraded in-process
 path, and never under ``jobs=1``.
 
-:func:`run_chaos` is the ``python -m repro chaos`` engine: it runs a
-small grid under a preset fault plan with supervision on, runs the same
-grid fault-free and serial in a separate cache, and compares the two
-merged-JSON documents byte for byte (surviving cells only, when the
-preset quarantines by design).
+:func:`run_chaos` is the ``python -m repro chaos`` engine for both
+tiers.  One preset table (:data:`CHAOS_PRESETS`) names each scenario's
+tier: ``pool`` presets run a small grid through the supervised sweep
+engine under a :class:`ChaosPlan`; ``service`` presets hand the same
+grid to a live daemon and its worker fleet
+(:func:`repro.service.chaos.service_faults`, imported only when such a
+preset runs).  Either way the harness then runs the grid fault-free and
+serial in a separate cache and compares the two merged-JSON documents
+byte for byte (surviving cells only, when the preset quarantines by
+design).
 
 This module is test harness, not simulation: nothing inside the sweep
 cache's code-fingerprint closure imports it, so editing a fault model
@@ -195,34 +200,55 @@ class ChaosPlan:
         return result
 
 
+
+
 # ----------------------------------------------------------------------
 # Presets
 # ----------------------------------------------------------------------
 
-#: ``repro chaos --preset`` choices -> one-line description.
+#: ``repro chaos --preset`` choices -> (tier, one-line description).
+#: ``pool`` presets inject the faults above into the sweep supervisor's
+#: workers; ``service`` presets abuse a live daemon and its worker fleet
+#: (:mod:`repro.service.chaos`).
 CHAOS_PRESETS = {
-    "kill-one-worker": "SIGKILL one cell's worker at epoch 2, first "
-                       "attempt only; the pool break charges every "
-                       "in-flight cell and the retry resumes from the "
-                       "epoch-2 checkpoint",
-    "kill-storm": "SIGKILL every cell's worker on every pooled attempt; "
-                  "the supervisor must degrade to in-process serial "
-                  "execution and still finish",
-    "hang-one-cell": "one cell stops heartbeating forever; only the "
-                     "cell timeout can recover it",
-    "corrupt-result": "one cell returns a garbage payload on its first "
-                      "attempt; validation must reject it before the "
-                      "cache sees it",
-    "flaky-cells": "every cell fails its first attempt and succeeds on "
-                   "retry",
-    "poison-cell": "one cell fails every attempt and must land in "
-                   "quarantine.jsonl while the sweep completes around "
-                   "it",
+    "kill-one-worker": ("pool", "SIGKILL one cell's worker at epoch 2, "
+                        "first attempt only; the pool break charges "
+                        "every in-flight cell and the retry resumes "
+                        "from the epoch-2 checkpoint"),
+    "kill-storm": ("pool", "SIGKILL every cell's worker on every pooled "
+                   "attempt; the supervisor must degrade to in-process "
+                   "serial execution and still finish"),
+    "hang-one-cell": ("pool", "one cell stops heartbeating forever; only "
+                      "the cell timeout can recover it"),
+    "corrupt-result": ("pool", "one cell returns a garbage payload on its "
+                       "first attempt; validation must reject it before "
+                       "the cache sees it"),
+    "flaky-cells": ("pool", "every cell fails its first attempt and "
+                    "succeeds on retry"),
+    "poison-cell": ("pool", "one cell fails every attempt and must land "
+                    "in quarantine.jsonl while the sweep completes "
+                    "around it"),
+    "kill-worker": ("service", "SIGKILL one of two workers mid-sweep; its "
+                    "lease expires, the cells requeue and the survivor "
+                    "finishes the job"),
+    "worker-storm": ("service", "three rounds of spawning a two-worker "
+                     "fleet and SIGKILLing it; a final clean fleet must "
+                     "still converge within the attempt budget"),
+    "slow-client": ("service", "an event-stream consumer reading one byte "
+                    "at a time must only stall its own connection, "
+                    "never the daemon or the sweep"),
+    "queue-flood": ("service", "per-cell jobs against a queue_limit=2 "
+                    "daemon; clients must be throttled with 429 + "
+                    "Retry-After and converge by obeying it"),
+    "split-result": ("service", "a worker uploads a torn result payload "
+                     "first; validation charges the attempt and the "
+                     "retry upload lands cleanly"),
 }
 
 
 def build_plan(preset, cells, parent_pid=None):
-    """(plan, expected_quarantined, default_cell_timeout) for a preset.
+    """(plan, expected_quarantined, default_cell_timeout) for a pool
+    preset.
 
     Single-victim presets target the first cell label in sorted order —
     a deterministic choice so reruns inject identically.
@@ -248,8 +274,7 @@ def build_plan(preset, cells, parent_pid=None):
                           parent_pid), 0, None)
     if preset == "poison-cell":
         return (ChaosPlan([PoisonCell(target)], parent_pid), 1, None)
-    raise ValueError("unknown chaos preset %r (valid: %s)"
-                     % (preset, ", ".join(sorted(CHAOS_PRESETS))))
+    raise ValueError("not a pool chaos preset: %r" % (preset,))
 
 
 # ----------------------------------------------------------------------
@@ -264,41 +289,21 @@ def default_grid():
             "workloads_per_group": 2}
 
 
-def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
-              degrade=True, keep=False, work_dir=None, grid=None,
-              epochs=None, log=None):
-    """Run one chaos scenario end to end; returns a report dict.
+def _pool_faults(preset, scale, cells, workdir, say, jobs, cell_timeout,
+                 max_attempts, degrade):
+    """The pool tier: a supervised :class:`SweepEngine` runs the cells
+    under the preset's :class:`ChaosPlan`.  Returns the runner outcome
+    :func:`run_chaos` expects (see :func:`repro.service.chaos.
+    service_faults` for the other tier)."""
+    from repro.experiments.parallel import SweepEngine, merged_json
 
-    A supervised engine runs the grid under the preset's fault plan with
-    its own cache, resume dir and quarantine ledger inside a throwaway
-    work directory; a second, fail-fast serial engine then produces the
-    fault-free reference in a separate cache.  The report's ``ok``
-    is True when the quarantine count matches the preset's expectation
-    and the merged JSON is byte-identical to the reference (for presets
-    that quarantine by design, every *surviving* cell record must match
-    its reference record instead).
-    """
-    from repro.experiments.parallel import (
-        SweepEngine,
-        grid_cells,
-        merged_document,
-        merged_json,
-    )
-
-    say = log if log is not None else (lambda message: None)
-    grid = dict(grid if grid is not None else default_grid())
-    grid.setdefault("epochs", epochs)
-    cells = grid_cells(**grid)
     plan, expected, preset_timeout = build_plan(preset, cells)
-    timeout = cell_timeout if cell_timeout is not None else preset_timeout
-    workdir = work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    say("chaos preset %r: %s" % (preset, CHAOS_PRESETS[preset]))
-    say("%d cells, %d jobs, work dir %s" % (len(cells), jobs, workdir))
-
     supervision = Supervision(
-        cell_timeout=timeout, max_attempts=max_attempts, degrade=degrade,
-        seed=scale.seed, retry_base_delay=0.05, retry_max_delay=1.0,
-        poll_interval=0.1)
+        cell_timeout=cell_timeout if cell_timeout is not None
+        else preset_timeout,
+        max_attempts=max_attempts, degrade=degrade, seed=scale.seed,
+        retry_base_delay=0.05, retry_max_delay=1.0, poll_interval=0.1)
+    say("%d cells, %d jobs, work dir %s" % (len(cells), jobs, workdir))
     engine = SweepEngine(
         scale, jobs=jobs, cache_dir=os.path.join(workdir, "cache-chaos"),
         events_path=os.path.join(workdir, "events.jsonl"),
@@ -310,43 +315,89 @@ def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
                                    "pool-rebuilt", "sweep-degraded")
         else None)
     results = engine.run_cells(cells)
-    chaos_doc = merged_document(cells, results, scale,
-                                quarantined=engine.quarantined)
+    return {
+        "text": merged_json(cells, results, scale,
+                            quarantined=engine.quarantined),
+        "expected_quarantined": expected,
+        "evidence": True,
+        "quarantine_path": engine.quarantine_path,
+        "counters": dict(jobs=jobs, **engine.supervisor_stats,
+                         resumed=engine.stats["resumed"]),
+    }
 
+
+def _record_id(record):
+    return (record["workload"], record["policy"], record["seed"])
+
+
+def run_chaos(preset, scale, jobs=2, cell_timeout=None, max_attempts=3,
+              degrade=True, keep=False, work_dir=None, grid=None,
+              epochs=None, log=None):
+    """Run one chaos scenario of either tier; returns a report dict.
+
+    The preset's tier runner executes the grid under its faults inside a
+    throwaway work directory and hands back the merged JSON; a fail-fast
+    serial engine then produces the fault-free reference in a separate
+    cache.  The report's ``ok`` is True when the quarantine matches the
+    preset's expectation, the tier's evidence that the fault fired
+    holds, and the merged JSON is byte-identical to the reference (for
+    presets that quarantine by design, every *surviving* cell record
+    must match its reference record instead).  ``jobs``,
+    ``cell_timeout``, ``max_attempts`` and ``degrade`` configure the
+    pool tier's supervisor; service presets configure their own daemon.
+    """
+    from repro.experiments.parallel import SweepEngine, grid_cells, \
+        merged_json
+
+    if preset not in CHAOS_PRESETS:
+        raise ValueError("unknown chaos preset %r (valid: %s)"
+                         % (preset, ", ".join(sorted(CHAOS_PRESETS))))
+    tier, description = CHAOS_PRESETS[preset]
+    say = log if log is not None else (lambda message: None)
+    grid = dict(grid if grid is not None else default_grid())
+    grid.setdefault("epochs", epochs)
+    cells = grid_cells(**grid)
+    workdir = work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
+    say("chaos preset %r (%s tier): %s" % (preset, tier, description))
+    if tier == "pool":
+        outcome = _pool_faults(preset, scale, cells, workdir, say, jobs,
+                               cell_timeout, max_attempts, degrade)
+    else:
+        from repro.service.chaos import service_faults
+
+        outcome = service_faults(preset, scale, cells, grid, workdir, say)
+
+    say("simulating the fault-free serial reference")
     reference = SweepEngine(scale, jobs=1,
                             cache_dir=os.path.join(workdir, "cache-ref"))
-    ref_results = reference.run_cells(cells)
-    ref_doc = merged_document(cells, ref_results, scale)
-
+    ref_text = merged_json(cells, reference.run_cells(cells), scale)
+    text = outcome["text"]
+    doc = json.loads(text)
+    expected = outcome["expected_quarantined"]
     if expected == 0:
-        identical = (
-            merged_json(cells, results, scale,
-                        quarantined=engine.quarantined)
-            == merged_json(cells, ref_results, scale))
+        identical = text == ref_text
     else:
-        by_key = {(rec["workload"], rec["policy"], rec["seed"]): rec
-                  for rec in ref_doc["cells"]}
-        identical = all(
-            rec == by_key.get((rec["workload"], rec["policy"], rec["seed"]))
-            for rec in chaos_doc["cells"])
-    quarantined = sorted(cell.label for cell in engine.quarantined)
-    ok = identical and len(quarantined) == expected
-    report = {
-        "preset": preset,
-        "cells": [cell.label for cell in cells],
-        "jobs": jobs,
-        "quarantined": quarantined,
-        "expected_quarantined": expected,
-        "identical": identical,
-        "ok": ok,
-        "retries": engine.supervisor_stats["retries"],
-        "timeouts": engine.supervisor_stats["timeouts"],
-        "pool_breaks": engine.supervisor_stats["pool_breaks"],
-        "degraded": engine.supervisor_stats["degraded"],
-        "resumed": engine.stats["resumed"],
-        "work_dir": workdir if keep else None,
-        "quarantine_path": engine.quarantine_path if keep else None,
-    }
+        by_id = {_record_id(record): record
+                 for record in json.loads(ref_text)["cells"]}
+        identical = all(record == by_id.get(_record_id(record))
+                        for record in doc["cells"])
+    quarantined = sorted("%s/%s/s%d" % _record_id(record)
+                         for record in doc["quarantined"])
+    counters = outcome["counters"]
+    report = dict(
+        counters,
+        preset=preset,
+        tier=tier,
+        cells=[cell.label for cell in cells],
+        counters=list(counters),
+        quarantined=quarantined,
+        expected_quarantined=expected,
+        identical=identical,
+        ok=(identical and outcome["evidence"]
+            and len(quarantined) == expected),
+        work_dir=workdir if keep else None,
+        quarantine_path=outcome["quarantine_path"] if keep else None,
+    )
     if not keep and work_dir is None:
         shutil.rmtree(workdir, ignore_errors=True)
     return report

@@ -414,26 +414,22 @@ def compare_policies_resilient(workload, policy_factories, scale,
     """Resumable version of
     :func:`~repro.experiments.runner.compare_policies`.
 
-    Each (workload, policy, seed) run gets its own subdirectory of
-    ``resume_dir``; completed runs are skipped on re-invocation, and an
-    interrupted run continues from its last checkpoint, so killing a sweep
-    mid-flight and re-running the same command completes it with identical
-    metrics.
+    Each run gets its own subdirectory of ``resume_dir``, named by the
+    cache key of its canonical sweep cell
+    (:func:`~repro.experiments.parallel.run_path`); completed runs are
+    skipped on re-invocation, and an interrupted run continues from its
+    last checkpoint, so killing a sweep mid-flight and re-running the
+    same command completes it with identical metrics.
     """
+    from repro.experiments.parallel import run_path
+
     results = {}
     for name, factory in policy_factories.items():
-        run_dir = os.path.join(
-            resume_dir, run_slug(workload.name, name, scale.seed))
+        run_dir = run_path(resume_dir, workload.name, name, scale, epochs)
         results[name] = run_policy_resilient(
             workload, factory(), scale, epochs=epochs, run_dir=run_dir,
             resume=resume, log=log, **kwargs)
     return results
-
-
-def run_slug(workload_name, policy_name, seed):
-    """Filesystem-safe subdirectory name for one (workload, policy, seed)."""
-    raw = "%s__%s__s%d" % (workload_name, policy_name, seed)
-    return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in raw)
 
 
 __all__ = [
@@ -447,5 +443,4 @@ __all__ = [
     "Watchdog",
     "compare_policies_resilient",
     "run_policy_resilient",
-    "run_slug",
 ]

@@ -15,10 +15,11 @@ single-machine process pool to a long-running service:
   and uploads results;
 * :mod:`repro.service.client` — the ``repro submit`` client library:
   submit/status/events/result plus 429-aware retry;
-* :mod:`repro.service.chaos` — service-tier chaos presets (kill-worker,
-  worker-storm, slow-client, queue-flood, split-result) proving that
-  merged results converge byte-identically to a fault-free serial
-  reference;
+* :mod:`repro.service.chaos` — the service-tier runner of the one
+  chaos harness (:mod:`repro.reliability.chaos`): kill-worker,
+  worker-storm, slow-client, queue-flood and split-result abuse a live
+  daemon, and the harness proves the merged results converge
+  byte-identically to its fault-free serial reference;
 * :mod:`repro.service.loadtest` — the ``repro loadtest`` harness:
   hundreds of concurrent clients hammering a warm cache.
 

@@ -1,51 +1,32 @@
-"""Service-level chaos: prove the daemon converges under node failure.
+"""Service-tier chaos: the daemon converges under node failure.
 
-The pool chaos harness (:mod:`repro.reliability.chaos`) injects faults
-*inside* worker processes; this module injects them at the service
-tier — dead nodes, churning fleets, slow consumers, queue floods and
-torn uploads.  Every preset runs a real daemon (in-process, on a
-background thread) with real ``repro worker`` subprocesses against a
-throwaway work directory, then byte-compares the merged job result
-against a fault-free serial :class:`SweepEngine` reference.  The
-invariant is the same one the pool tier proves: faults may cost time
-and retries, never bytes.
+The pool presets of :mod:`repro.reliability.chaos` inject faults
+*inside* worker processes; the service presets here inject them at the
+service tier — dead nodes, churning fleets, slow consumers, queue floods
+and torn uploads.  :func:`service_faults` is that harness's service
+runner: it runs a real daemon (in-process, on a background thread) with
+real ``repro worker`` subprocesses in the harness's work directory and
+returns the merged job JSON plus the evidence that the fault fired.
+:func:`repro.reliability.chaos.run_chaos` owns everything else — the
+grid, the fault-free serial reference, the byte comparison and the
+report.
 
 ``kill-worker`` kills a worker only while the job's event stream shows
 it holding an outstanding lease, so that lease must then expire.
 """
 
 import os
-import shutil
 import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import urllib.parse
 
+from repro.service import protocol
 from repro.service.client import ServiceClient, SubmitRejected
 from repro.service.server import ServiceConfig, ServiceHandle
-
-#: ``repro chaos --preset`` service-tier choices -> one-line description.
-SERVICE_CHAOS_PRESETS = {
-    "kill-worker": "SIGKILL one of two workers mid-sweep; its lease "
-                   "expires, the cells requeue and the survivor "
-                   "finishes the job",
-    "worker-storm": "three rounds of spawning a two-worker fleet and "
-                    "SIGKILLing it; a final clean fleet must still "
-                    "converge within the attempt budget",
-    "slow-client": "an event-stream consumer reading one byte at a "
-                   "time must only stall its own connection, never "
-                   "the daemon or the sweep",
-    "queue-flood": "per-cell jobs against a queue_limit=2 daemon; "
-                   "clients must be throttled with 429 + Retry-After "
-                   "and converge by obeying it",
-    "split-result": "a worker uploads a torn result payload first; "
-                    "validation charges the attempt and the retry "
-                    "upload lands cleanly",
-}
 
 
 def _worker_env():
@@ -128,43 +109,23 @@ def _slow_event_reader(url, job_id, outcome):
     outcome["ok"] = received.startswith(b"HTTP/1.1 200")
 
 
-def run_service_chaos(preset, scale_name="smoke", keep=False,
-                      work_dir=None, grid=None, epochs=None, log=None,
-                      deadline=600.0):
-    """Run one service chaos scenario end to end; returns a report dict.
+def service_faults(preset, scale, cells, grid, workdir, say,
+                   deadline=600.0):
+    """Run ``cells`` (the ``grid``) on a daemon while ``preset`` abuses
+    it; returns the runner outcome
+    :func:`~repro.reliability.chaos.run_chaos` compares.
 
-    A daemon with a deliberately twitchy lease timeout runs the default
-    fig4-style grid while the preset abuses it; a serial engine then
-    produces the fault-free reference in a separate cache, and the
-    report's ``ok`` requires the merged job JSON to be byte-identical
-    to it with the expected quarantine count (zero for every preset —
-    service faults are all survivable).
+    The daemon has a deliberately twitchy lease timeout and keeps its
+    state and cache under ``workdir``.  Every service fault is
+    survivable, so no cell may be quarantined; the preset's evidence is
+    the counter that proves its fault fired.
     """
-    from repro.experiments.parallel import SweepEngine, grid_cells, \
-        merged_json
-    from repro.reliability.chaos import default_grid
-    from repro.service import protocol
-
-    if preset not in SERVICE_CHAOS_PRESETS:
-        raise ValueError("unknown service chaos preset %r (valid: %s)"
-                         % (preset,
-                            ", ".join(sorted(SERVICE_CHAOS_PRESETS))))
-    say = log if log is not None else (lambda message: None)
-    scale = protocol.scale_from_spec({"scale": scale_name})
-    grid = dict(grid if grid is not None else default_grid())
-    grid.setdefault("epochs", epochs)
-    cells = grid_cells(**grid)
-    scale_spec = {"scale": scale_name}
+    scale_spec = protocol.spec_of(scale)
     grid_payload = {key: list(value) if isinstance(value, tuple) else value
                     for key, value in grid.items() if value is not None}
-
-    workdir = work_dir or tempfile.mkdtemp(prefix="repro-svc-chaos-")
     state_dir = os.path.join(workdir, "state")
-    cache_dir = os.path.join(workdir, "cache")
-    ref_cache = os.path.join(workdir, "ref-cache")
-
     config = ServiceConfig(
-        state_dir=state_dir, cache_dir=cache_dir,
+        state_dir=state_dir, cache_dir=os.path.join(workdir, "cache-chaos"),
         lease_timeout=2.0, max_attempts=3, tick_interval=0.05,
         retry_base_delay=0.05, retry_max_delay=0.5, retry_after=1,
         queue_limit=2 if preset == "queue-flood" else 1024,
@@ -175,14 +136,14 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
         config.max_attempts = 10
     handle = ServiceHandle(config).start()
     client = ServiceClient(handle.url, client="chaos")
-    workers = []
+    workers = {}  # name -> the live fleet's processes
     throttled = 0
     slow = {}
     try:
         if preset == "queue-flood":
             say("flooding a queue_limit=%d daemon with %d one-cell jobs"
                 % (config.queue_limit, len(cells)))
-            workers.append(_spawn_worker(handle.url, "flood-worker"))
+            workers["flood"] = _spawn_worker(handle.url, "flood")
             job_ids = []
             for cell in cells:
                 spec = protocol.cell_spec(cell)
@@ -204,36 +165,37 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
             fault = "split-result:1" if preset == "split-result" else None
             count = 1 if preset in ("slow-client", "split-result") else 2
             for index in range(count):
-                workers.append(_spawn_worker(handle.url,
-                                             "chaos-%d" % index,
-                                             fault=fault))
+                name = "chaos-%d" % index
+                workers[name] = _spawn_worker(handle.url, name, fault=fault)
             record = client.submit(grid=grid_payload, scale=scale_spec)
             job_id = record["job"]
             say("submitted %s (%d cells) to %s"
                 % (job_id, len(cells), handle.url))
 
-            if preset == "kill-worker":
+            if preset in ("kill-worker", "worker-storm"):
                 events = []
                 reader = threading.Thread(target=lambda: events.extend(
                     client.events(job_id)), daemon=True)
                 reader.start()
-                procs = {"chaos-%d" % index: proc
-                         for index, proc in enumerate(workers)}
-                _kill_lease_holder(handle.service, procs, events, say)
+            if preset == "kill-worker":
+                _kill_lease_holder(handle.service, workers, events, say)
             elif preset == "worker-storm":
                 for round_index in range(3):
-                    _wait_for(lambda: client.stats()["leases"] >= 1,
-                              timeout=30.0)
-                    time.sleep(0.5)
+                    # Kill each fleet while it holds a lease, so that
+                    # lease must expire.
+                    _wait_for(lambda: set(workers) & {
+                        handle.service.workers.get(worker, {}).get("name")
+                        for worker in _outstanding_leases(events).values()},
+                        timeout=30.0, interval=0.02)
                     say("storm round %d: killing the fleet"
                         % (round_index + 1))
-                    for proc in workers:
+                    for proc in workers.values():
                         proc.kill()
                         proc.wait()
-                    workers = [_spawn_worker(handle.url,
-                                             "storm-%d-%d"
-                                             % (round_index + 1, index))
-                               for index in range(2)]
+                    workers = {}
+                    for index in range(2):
+                        name = "storm-%d-%d" % (round_index + 1, index)
+                        workers[name] = _spawn_worker(handle.url, name)
                 # let the final fleet live
             elif preset == "slow-client":
                 slow_reader = threading.Thread(
@@ -243,55 +205,42 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
 
         client.wait(job_id, deadline=deadline)
         text = client.result(job_id)
-        status = client.status(job_id)
         stats = client.stats()
         if preset == "slow-client":
             # The sweep finished while the 200 B/s consumer was still
             # crawling — now let it drain its buffered stream tail.
             slow_reader.join(timeout=120.0)
-        elif preset == "kill-worker":
+        elif preset in ("kill-worker", "worker-storm"):
             reader.join(timeout=30.0)  # the stream ends with the job
     finally:
-        for proc in workers:
+        for proc in workers.values():
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
                 proc.wait()
         handle.stop(drain=False)
 
-    say("service sweep done; simulating the fault-free serial reference")
-    engine = SweepEngine(scale, jobs=1, cache_dir=ref_cache)
-    reference = merged_json(cells, engine.run_cells(cells), scale)
-    identical = text == reference
-    expected = 0
-    quarantined = status["quarantined"]
-    ok = identical and quarantined == expected
-    if preset == "queue-flood":
-        ok = ok and throttled > 0 and stats["rejected_queue_full"] > 0
-    if preset == "split-result":
-        ok = ok and stats["invalid_results"] >= 1
-    if preset in ("kill-worker", "worker-storm"):
-        ok = ok and stats["lease_expiries"] >= 1
-    if preset == "slow-client":
-        ok = ok and slow.get("ok", False)
-    report = {
-        "preset": preset,
-        "cells": [cell.label for cell in cells],
-        "jobs": stats["jobs_done"],
-        "workers": len(workers),
-        "quarantined": quarantined,
-        "expected_quarantined": expected,
-        "identical": identical,
-        "ok": ok,
-        "retries": stats["retries"],
-        "lease_expiries": stats["lease_expiries"],
-        "invalid_results": stats["invalid_results"],
-        "throttled": max(throttled, stats["rejected_queue_full"]),
-        "duplicate_results": stats["duplicate_results"],
-        "work_dir": workdir if keep else None,
+    evidence = {
+        "queue-flood": throttled > 0 and stats["rejected_queue_full"] > 0,
+        "split-result": stats["invalid_results"] >= 1,
+        "kill-worker": stats["lease_expiries"] >= 1,
+        "worker-storm": stats["lease_expiries"] >= 1,
+        "slow-client": slow.get("ok", False),
+    }[preset]
+    return {
+        "text": text,
+        "expected_quarantined": 0,
+        "evidence": evidence,
+        "quarantine_path": os.path.join(state_dir, "quarantine.jsonl"),
+        "counters": {
+            "jobs": stats["jobs_done"],
+            "workers": len(workers),
+            "retries": stats["retries"],
+            "lease_expiries": stats["lease_expiries"],
+            "invalid_results": stats["invalid_results"],
+            "throttled": max(throttled, stats["rejected_queue_full"]),
+            "duplicate_results": stats["duplicate_results"],
+        },
     }
-    if not keep and work_dir is None:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return report
 
 
-__all__ = ["SERVICE_CHAOS_PRESETS", "run_service_chaos"]
+__all__ = ["service_faults"]

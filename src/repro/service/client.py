@@ -1,7 +1,8 @@
 """Client library for the sweep service: submit, watch, fetch.
 
 ``repro submit`` and the loadtest harness both go through
-:class:`ServiceClient`.  The client is deliberately boring synchronous
+:class:`ServiceClient`, and ``repro worker`` through its transport,
+:func:`request`.  The client is deliberately boring synchronous
 ``urllib`` code — one request per connection, matching the daemon's
 ``Connection: close`` framing — with exactly two interesting behaviors:
 
@@ -20,6 +21,34 @@ import json
 import time
 import urllib.error
 import urllib.request
+
+
+def request(method, url, payload=None, timeout=60.0):
+    """One synchronous JSON request; returns ``(status, headers, body)``.
+
+    HTTP error statuses are returned, not raised; only transport errors
+    (connection refused, timeouts) propagate as ``URLError``/``OSError``.
+    """
+    data = None
+    headers = {}
+    if payload is not None:
+        data = json.dumps(payload).encode("utf-8")
+        headers["Content-Type"] = "application/json"
+    req = urllib.request.Request(url, data=data, headers=headers,
+                                 method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, dict(exc.headers or {}), exc.read()
+
+
+def parse_json(body):
+    """A response body's JSON, or ``None`` when it is empty or not JSON."""
+    try:
+        return json.loads(body.decode("utf-8")) if body else None
+    except (UnicodeDecodeError, ValueError):
+        return None
 
 
 class ServiceError(Exception):
@@ -50,27 +79,12 @@ class ServiceClient:
     # -- plumbing --------------------------------------------------------
 
     def _request(self, method, path, payload=None):
-        data = None
-        headers = {}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(self.url + path, data=data,
-                                         headers=headers, method=method)
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as response:
-                return response.status, dict(response.headers), \
-                    response.read()
-        except urllib.error.HTTPError as exc:
-            return exc.code, dict(exc.headers or {}), exc.read()
+        return request(method, self.url + path, payload, self.timeout)
 
     @staticmethod
     def _json(body):
-        try:
-            return json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            return {}
+        parsed = parse_json(body)
+        return {} if parsed is None else parsed
 
     def _checked(self, method, path, payload=None):
         status, _headers, body = self._request(method, path, payload)
@@ -185,4 +199,5 @@ class ServiceClient:
         return body
 
 
-__all__ = ["ServiceClient", "ServiceError", "SubmitRejected"]
+__all__ = ["ServiceClient", "ServiceError", "SubmitRejected", "parse_json",
+           "request"]

@@ -85,6 +85,20 @@ def scale_from_spec(spec):
     return scale.with_overrides(**overrides) if overrides else scale
 
 
+def spec_of(scale):
+    """The scale spec that rebuilds ``scale``: the first named base it
+    derives from plus the overrides it differs by.  Raises
+    :class:`ValueError` for a scale no spec can express."""
+    for name in sorted(SCALES):
+        base = SCALES[name]()
+        spec = scale_spec(name, **{
+            key: getattr(scale, key) for key in SCALE_OVERRIDES
+            if getattr(scale, key) != getattr(base, key)})
+        if scale_from_spec(spec) == scale:
+            return spec
+    raise ValueError("no scale spec rebuilds %r" % (scale,))
+
+
 def cell_spec(cell):
     """The JSON form of one sweep cell."""
     return {"workload": cell.workload, "policy": cell.policy,
@@ -123,4 +137,5 @@ __all__ = [
     "cell_spec",
     "scale_from_spec",
     "scale_spec",
+    "spec_of",
 ]

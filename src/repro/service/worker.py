@@ -18,41 +18,20 @@ payload, proving the daemon's validation charges the attempt and never
 lets the bytes near the cache.
 """
 
-import json
 import threading
 import time
 import urllib.error
-import urllib.request
 
-from repro.experiments.parallel import _execute_cell
+from repro.experiments.parallel import _execute_cell, cell_path
 from repro.service import protocol
+from repro.service.client import parse_json, request
 
 
 def _http(method, url, payload=None, timeout=60.0):
-    """One synchronous JSON request; returns ``(status, parsed_body)``.
-
-    HTTP error statuses are returned, not raised; only transport errors
-    (connection refused, timeouts) propagate as ``URLError``/``OSError``.
-    """
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers,
-                                     method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            status = response.status
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        status = exc.code
-        body = exc.read()
-    try:
-        parsed = json.loads(body.decode("utf-8")) if body else None
-    except (UnicodeDecodeError, ValueError):
-        parsed = None
-    return status, parsed
+    """One JSON request (:func:`repro.service.client.request`); returns
+    ``(status, parsed body or None)``."""
+    status, _headers, body = request(method, url, payload, timeout)
+    return status, parse_json(body)
 
 
 class _Fault:
@@ -169,7 +148,7 @@ def run_worker(server_url, poll_interval=0.25, max_cells=None,
         def simulate():
             try:
                 outcome["value"] = _execute_cell(
-                    cell, scale, task["resume_dir"],
+                    cell, scale, cell_path(task["resume_dir"], task["key"]),
                     attempt=task["attempt"], solos=task.get("solos"))
             except BaseException as exc:  # report, don't die
                 outcome["error"] = "%s: %s" % (type(exc).__name__, exc)

@@ -284,12 +284,61 @@ class TestSweepSupervisionCLI:
         assert dropped["attempts"] == 2
 
 
+class TestResumeDirCLI:
+    def test_run_resume_dir_reused_at_another_epoch_count(self, capsys,
+                                                          tmp_path):
+        def table(*extra):
+            main(["run", "--workload", "art-mcf", "--policy", "ICOUNT",
+                  "--scale", "smoke", *extra])
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("[resilient]")]
+
+        resume = ["--resume-dir", str(tmp_path / "runs")]
+        table("--epochs", "2", *resume)
+        assert table("--epochs", "3", *resume) == table("--epochs", "3")
+
+
 class TestChaosCLI:
     def test_validation_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["chaos", "--max-attempts", "0"])
         assert excinfo.value.code == 2
         assert "--max-attempts" in capsys.readouterr().err
+
+    def test_service_preset_validates_supervision_flags(self, capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+        from repro.service import chaos as service_chaos
+
+        calls = []
+        monkeypatch.setattr(service_chaos, "service_faults",
+                            lambda *args: calls.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--preset", "kill-worker", "--max-attempts", "0",
+                  "--work-dir", str(tmp_path / "chaos")])
+        assert excinfo.value.code == 2
+        assert "--max-attempts" in capsys.readouterr().err
+        assert calls == []  # no daemon was started
+
+    def test_scale_flags_reach_the_service_runner(self, monkeypatch,
+                                                  tmp_path):
+        from repro.service import chaos as service_chaos
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def fake_runner(preset, scale, cells, grid, workdir, say):
+            seen["scale"] = scale
+            raise Stop
+
+        monkeypatch.setattr(service_chaos, "service_faults", fake_runner)
+        with pytest.raises(Stop):
+            main(["chaos", "--preset", "kill-worker", "--scale", "smoke",
+                  "--epoch-size", "64", "--seed", "3", "--quiet",
+                  "--work-dir", str(tmp_path / "chaos")])
+        assert (seen["scale"].epoch_size, seen["scale"].seed) == (64, 3)
 
     def test_flaky_preset_smoke(self, capsys):
         code = main(["chaos", "--preset", "flaky-cells", "--jobs", "2",

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis.lint.importgraph import build_graph, closure_files
+from repro.analysis.lint.importgraph import build_graph
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 PKG_ROOT = os.path.join(FIXTURES, "lintpkg")
@@ -79,14 +79,3 @@ def test_closure_includes_init_without_traversing_it(graph):
 def test_family_closure_adds_entry_and_deps(graph):
     closure = graph.closure(("runner.py", "fam_a.py"))
     assert {"fam_a.py", "afdep.py"} <= closure
-
-
-def test_closure_files_helper():
-    files = closure_files(PKG_ROOT, "lintpkg", ("runner.py", "fam_a.py"))
-    assert files == tuple(sorted(files))
-    assert "afdep.py" in files
-
-
-def test_closure_files_rejects_unknown_entry():
-    with pytest.raises(ValueError):
-        closure_files(PKG_ROOT, "lintpkg", ("missing.py",))

@@ -1,6 +1,5 @@
-"""Self-check: the four lint passes over the real ``repro`` tree, the
-fail-closed directions from the sweep cache's point of view, and the
-graph fingerprint mode."""
+"""Self-check: the four lint passes over the real ``repro`` tree and the
+fail-closed directions from the sweep cache's point of view."""
 
 import os
 import shutil
@@ -12,13 +11,6 @@ import pytest
 from repro.analysis.lint import engine
 from repro.analysis.lint.importgraph import build_graph
 from repro.experiments import parallel
-
-
-@pytest.fixture
-def fresh_memo():
-    parallel.clear_fingerprint_memo()
-    yield
-    parallel.clear_fingerprint_memo()
 
 
 # ----------------------------------------------------------------------
@@ -134,44 +126,20 @@ def test_stripping_a_waiver_justification_fails_closed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Fingerprint modes
+# The import-graph closure against the hashed hand lists
 # ----------------------------------------------------------------------
 
 
-def test_graph_mode_differs_and_is_memoized_per_mode(monkeypatch,
-                                                     fresh_memo):
-    monkeypatch.delenv("REPRO_FINGERPRINT_MODE", raising=False)
-    static = parallel.code_fingerprint("HILL")
-    monkeypatch.setenv("REPRO_FINGERPRINT_MODE", "graph")
-    graph_fp = parallel.code_fingerprint("HILL")
-    assert static != graph_fp
-    assert parallel.code_fingerprint("HILL") == graph_fp
-    monkeypatch.setenv("REPRO_FINGERPRINT_MODE", "static")
-    assert parallel.code_fingerprint("HILL") == static
-
-
-def test_graph_mode_closure_contains_the_true_positives(fresh_memo):
+def test_graph_mode_closure_contains_the_true_positives():
     root = engine.package_root()
-    files = parallel._fingerprint_files(root, "HILL", "graph")
-    # core/partition.py was the missing-coverage bug the auditor caught;
-    # graph mode derives it instead of trusting the hand list.
-    assert "core/partition.py" in files
-    assert "reliability/guard.py" in files
-    assert "policies/dcra.py" not in files  # family isolation holds
-
-
-def test_static_and_graph_modes_key_the_memo_separately(monkeypatch,
-                                                        fresh_memo):
-    monkeypatch.setenv("REPRO_FINGERPRINT_MODE", "graph")
-    parallel.code_fingerprint("DCRA")
-    assert ("graph", "DCRA") in parallel._fingerprint_memo
-    assert ("static", "DCRA") not in parallel._fingerprint_memo
-
-
-def test_unknown_mode_is_rejected(monkeypatch, fresh_memo):
-    monkeypatch.setenv("REPRO_FINGERPRINT_MODE", "fancy")
-    with pytest.raises(ValueError):
-        parallel.code_fingerprint("HILL")
+    closure = build_graph(root, "repro").closure(
+        parallel._CORE_ENTRIES + parallel._FAMILY_ENTRIES["HILL"])
+    # core/partition.py was the missing-coverage bug the auditor caught.
+    assert "core/partition.py" in closure
+    assert "reliability/guard.py" in closure
+    assert "policies/dcra.py" not in closure  # family isolation holds
+    # The hand lists HILL's fingerprint hashes cover the whole closure.
+    assert closure <= set(parallel._fingerprint_files(root, "HILL"))
 
 
 # ----------------------------------------------------------------------

@@ -214,14 +214,14 @@ class TestResume:
     def test_killed_cell_resumes_with_identical_metrics(self, scale,
                                                         tmp_path):
         from repro.reliability.guard import (RunInterrupted,
-                                             run_policy_resilient, run_slug)
+                                             run_policy_resilient)
         from repro.workloads.mixes import get_workload
 
         cell = SweepCell(workload="art-mcf",
                          policy=canonical_policy("HILL"))
         resume_dir = str(tmp_path / "resume")
-        cell_dir = os.path.join(
-            resume_dir, run_slug(cell.workload, cell.policy, cell.seed))
+        cell_dir = parallel.cell_path(resume_dir,
+                                      parallel.cache_key(cell, scale))
 
         # Simulate the kill: the same resilient run the worker would do,
         # stopped deterministically after 3 epochs with state on disk.
@@ -241,6 +241,22 @@ class TestResume:
                                    cache_dir=str(tmp_path / "cache2"))
         (fresh,) = fresh_engine.run_cells([cell])
         assert resumed.to_dict() == fresh.to_dict()
+
+    def test_reused_resume_dir_never_serves_another_configuration(
+            self, scale, tmp_path):
+        # A finished run of the cell at 2 epochs sits in the resume dir;
+        # the 3-epoch sweep must simulate its own, not return that one.
+        cell = SweepCell(workload="art-mcf", policy="ICOUNT")
+        resume_dir = str(tmp_path / "resume")
+        SweepEngine(scale.with_overrides(epochs=2),
+                    cache_dir=str(tmp_path / "cache2"),
+                    resume_dir=resume_dir).run_cells([cell])
+        three = scale.with_overrides(epochs=3)
+        (reused,) = SweepEngine(three, cache_dir=str(tmp_path / "cache3"),
+                                resume_dir=resume_dir).run_cells([cell])
+        (fresh,) = SweepEngine(three, cache_dir=str(tmp_path / "fresh")
+                               ).run_cells([cell])
+        assert reused.to_dict() == fresh.to_dict()
 
     def test_finished_cells_come_from_cache_after_a_kill(self, scale,
                                                          tmp_path):

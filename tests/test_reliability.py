@@ -346,8 +346,13 @@ class TestResilientRunner:
         results = compare_policies_resilient(
             workload, factories, scale, str(tmp_path))
         assert set(results) == {"ICOUNT", "STATIC"}
+        # One directory per run, named by its canonical cell's cache key.
+        from repro.experiments.parallel import run_path
+
         subdirs = sorted(os.listdir(str(tmp_path)))
-        assert len(subdirs) == 2
+        assert subdirs == sorted(
+            os.path.basename(run_path(str(tmp_path), workload.name, name,
+                                      scale)) for name in factories)
         for subdir in subdirs:
             assert (tmp_path / subdir / "result.json").exists()
 

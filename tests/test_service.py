@@ -313,6 +313,24 @@ class TestEndToEnd:
         with open(cache._path(key), "rb") as handle:
             assert client.cache_object(key) == handle.read()
 
+    def test_shared_resume_dir_never_serves_another_configuration(
+            self, service, tmp_path):
+        # Every job on a daemon checkpoints into one state_dir/resume:
+        # the same cell at another epoch count must not reuse the first
+        # job's finished run.
+        client = ServiceClient(service.url)
+        grid = dict(ONE_CELL, epochs=None)
+        for epochs in (2, 3):
+            record = client.submit(
+                grid=grid, scale=protocol.scale_spec("smoke", epochs=epochs))
+            run_worker(server_url=service.url, max_cells=1)
+            client.wait(record["job"], deadline=60.0)
+        cells = grid_cells(**grid)
+        scale = ExperimentScale.smoke().with_overrides(epochs=3)
+        engine = SweepEngine(scale, jobs=1, cache_dir=str(tmp_path / "ref"))
+        assert client.result(record["job"]) == merged_json(
+            cells, engine.run_cells(cells), scale)
+
     def test_event_stream_offsets_and_unknown_job(self, service):
         client = ServiceClient(service.url)
         record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)

@@ -1,4 +1,4 @@
-"""Service-level chaos presets: every fault converges byte-identically.
+"""Service-tier chaos presets: every fault converges byte-identically.
 
 These run the real thing — an in-process daemon, ``repro worker``
 subprocesses, SIGKILLs, floods, torn uploads — so they are the slowest
@@ -9,28 +9,31 @@ plus the preset-specific evidence that the fault actually fired.
 
 import pytest
 
-from repro.service.chaos import SERVICE_CHAOS_PRESETS, run_service_chaos
+from repro.experiments.runner import ExperimentScale
+from repro.reliability.chaos import CHAOS_PRESETS, run_chaos
 
 
 class TestPresetTable:
     def test_presets_have_descriptions(self):
-        assert sorted(SERVICE_CHAOS_PRESETS) == [
+        service = {name: description for name, (tier, description)
+                   in CHAOS_PRESETS.items() if tier == "service"}
+        assert sorted(service) == [
             "kill-worker", "queue-flood", "slow-client", "split-result",
             "worker-storm"]
-        for description in SERVICE_CHAOS_PRESETS.values():
+        for description in service.values():
             assert len(description) > 20
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError):
-            run_service_chaos("unplug-the-datacenter")
+            run_chaos("unplug-the-datacenter", ExperimentScale.smoke())
 
 
 class TestServiceChaosPresets:
     def _run(self, preset):
-        report = run_service_chaos(preset, epochs=2)
+        report = run_chaos(preset, ExperimentScale.smoke(), epochs=2)
         assert report["identical"], report
-        assert report["quarantined"] == report["expected_quarantined"] \
-            == 0, report
+        assert len(report["quarantined"]) == \
+            report["expected_quarantined"] == 0, report
         assert report["ok"], report
         return report
 

@@ -305,11 +305,14 @@ class TestSupervisedEngine:
 
 # -- chaos presets ----------------------------------------------------------
 
+POOL_PRESETS = sorted(name for name, (tier, __) in CHAOS_PRESETS.items()
+                      if tier == "pool")
+
+
 
 class TestChaosPresets:
     def test_cli_choices_match_the_preset_table(self):
         from repro.cli import build_parser
-        from repro.service.chaos import SERVICE_CHAOS_PRESETS
 
         parser = build_parser()
         commands = next(action for action in parser._actions
@@ -317,14 +320,14 @@ class TestChaosPresets:
         chaos = commands.choices["chaos"]
         preset = next(action for action in chaos._actions
                       if "--preset" in action.option_strings)
-        assert sorted(preset.choices) == sorted(
-            set(CHAOS_PRESETS) | set(SERVICE_CHAOS_PRESETS))
-        # The two tiers must never reuse a name: dispatch is by table.
-        assert not set(CHAOS_PRESETS) & set(SERVICE_CHAOS_PRESETS)
+        assert sorted(preset.choices) == sorted(CHAOS_PRESETS)
+        for tier, description in CHAOS_PRESETS.values():
+            assert tier in ("pool", "service")
+            assert len(description) > 20
 
     def test_every_preset_builds_a_plan(self):
         cells = small_cells()
-        for preset in CHAOS_PRESETS:
+        for preset in POOL_PRESETS:
             plan, expected, __ = build_plan(preset, cells,
                                             parent_pid=os.getpid())
             assert plan.faults
@@ -340,6 +343,8 @@ class TestChaosPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             build_plan("meteor-strike", small_cells())
+        with pytest.raises(ValueError):
+            build_plan("kill-worker", small_cells())  # a service preset
 
     def test_plan_knows_parent_from_worker(self):
         plan = ChaosPlan([], parent_pid=os.getpid())
