@@ -725,8 +725,11 @@ def cmd_submit(args):
                 _print_sweep_event(event)
     except (urllib.error.URLError, OSError, ValueError):
         pass  # stream dropped (daemon draining); wait() takes over
-    status = client.wait(job_id, deadline=args.timeout)
-    text = client.result(job_id)
+    try:
+        status = client.wait(job_id, deadline=args.timeout)
+        text = client.result(job_id)
+    except ServiceError as exc:
+        _fail("job %s on %s failed — %s" % (job_id, args.server, exc))
     if args.out is not None:
         import os
 

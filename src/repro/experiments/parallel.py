@@ -58,7 +58,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.experiments.export import _jsonable
+from repro.experiments.export import _jsonable, indented_json
 from repro.experiments.runner import RunResult, remember_solo, run_policy
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
 from repro.reliability.supervisor import (
@@ -314,6 +314,36 @@ def clear_fingerprint_memo():
     _fingerprint_memo.clear()
 
 
+#: Memoized sorted-key JSON text of the frozen values a cache key embeds
+#: (the machine configuration, each benchmark profile), keyed by the
+#: values themselves, so an entry can never go stale; emptied when full
+#: so that multi-config sweeps stay small.
+_FRAGMENTS = {}
+_FRAGMENTS_MAXSIZE = 256
+
+
+def _fragment(value):
+    """``json.dumps(_jsonable(value), sort_keys=True)``, memoized.
+
+    ``==`` conflates ``8`` with ``8.0`` and ``True`` with ``1``, which
+    JSON writes differently, so a hit on an equal but distinct object
+    must also have an equal ``repr``; that object then becomes the
+    entry's, so the next lookup with it (every cell of one daemon job
+    shares one config) is an identity hit.
+    """
+    entry = _FRAGMENTS.get(value)
+    if entry is not None and entry[0] is value:
+        return entry[1]
+    if entry is not None and repr(entry[0]) == repr(value):
+        text = entry[1]
+    else:
+        text = json.dumps(_jsonable(value), sort_keys=True)
+        if len(_FRAGMENTS) >= _FRAGMENTS_MAXSIZE:
+            _FRAGMENTS.clear()
+    _FRAGMENTS[value] = (value, text)
+    return text
+
+
 def cache_key(cell, scale):
     """Content address of one cell's result.
 
@@ -325,25 +355,27 @@ def cache_key(cell, scale):
     from the cell's when the cell overrides ``epochs``), and the relevant
     code fingerprint.  Anything else — job count, cache location, event
     stream, resume state — deliberately stays out.
+
+    The hashed blob is ``json.dumps(payload, sort_keys=True)`` of
+    ``{"code", "config", "policy", "profiles", "schedule", "seed",
+    "workload"}``, written out here in that sorted order around the
+    memoized :func:`_fragment` texts of the configuration and profiles
+    (``tests/test_parallel.py`` holds the two spellings equal).
     """
-    workload = get_workload(cell.workload)
-    payload = {
-        "config": _jsonable(scale.config),
-        "workload": cell.workload,
-        "profiles": [_jsonable(profile) for profile in workload.profiles],
-        "policy": cell.policy,
-        "seed": cell.seed,
-        "schedule": {
-            "epoch_size": scale.epoch_size,
-            "epochs": cell.epochs if cell.epochs is not None
-            else scale.epochs,
-            "solo_epochs": scale.epochs,
-            "warmup": scale.warmup,
-        },
-        "code": code_fingerprint(cell.policy),
+    schedule = {
+        "epoch_size": scale.epoch_size,
+        "epochs": cell.epochs if cell.epochs is not None else scale.epochs,
+        "solo_epochs": scale.epochs,
+        "warmup": scale.warmup,
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    blob = ('{"code": %s, "config": %s, "policy": %s, "profiles": [%s], '
+            '"schedule": %s, "seed": %s, "workload": %s}') % (
+        json.dumps(code_fingerprint(cell.policy)), _fragment(scale.config),
+        json.dumps(cell.policy),
+        ", ".join(map(_fragment, get_workload(cell.workload).profiles)),
+        json.dumps(schedule, sort_keys=True), json.dumps(cell.seed),
+        json.dumps(cell.workload))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def solo_key(profile, scale):
@@ -462,10 +494,9 @@ class ResultCache:
                                      exc), file=sys.stderr)
 
     @staticmethod
-    def _result_digest(result_dict):
-        """sha256 of the canonical (sorted-key) result payload bytes."""
-        blob = json.dumps(result_dict, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+    def _result_digest(result_text):
+        """sha256 of the canonical (sorted-key) result payload text."""
+        return hashlib.sha256(result_text.encode()).hexdigest()
 
     def get(self, key):
         path = self._path(key)
@@ -476,7 +507,8 @@ class ResultCache:
                 raise ValueError(
                     "entry filed under key %s… carries key %s…"
                     % (key[:12], str(document["key"])[:12]))
-            digest = self._result_digest(document["result"])
+            digest = self._result_digest(
+                json.dumps(document["result"], sort_keys=True))
             if document["sha256"] != digest:
                 raise ValueError(
                     "stored digest %s… does not match payload digest %s…"
@@ -499,12 +531,13 @@ class ResultCache:
         the directory and retrying once — ``put`` never raises
         ``FileNotFoundError`` at a victim of someone else's cleanup.
         """
-        result_dict = result.to_dict()
-        payload = json.dumps(
-            {"cell": _jsonable(cell), "key": key,
-             "sha256": self._result_digest(result_dict),
-             "result": result_dict},
-            sort_keys=True)
+        # The entry is json.dumps({"cell", "key", "result", "sha256"},
+        # sort_keys=True), written out around the one canonical result
+        # text the digest is taken over.
+        result_text = json.dumps(result.to_dict(), sort_keys=True)
+        payload = '{"cell": %s, "key": %s, "result": %s, "sha256": %s}' % (
+            json.dumps(_jsonable(cell), sort_keys=True), json.dumps(key),
+            result_text, json.dumps(self._result_digest(result_text)))
         self._write(self._path(key), payload)
 
     @staticmethod
@@ -1082,9 +1115,8 @@ def merged_document(cells, results, scale, quarantined=None):
 def merged_json(cells, results, scale, quarantined=None):
     """Byte-stable JSON of a sweep: independent of job count, completion
     order, caching, and resume history."""
-    return json.dumps(merged_document(cells, results, scale,
-                                      quarantined=quarantined),
-                      indent=1, sort_keys=True) + "\n"
+    return indented_json(merged_document(cells, results, scale,
+                                         quarantined=quarantined)) + "\n"
 
 
 __all__ = [

@@ -128,9 +128,13 @@ class RunResult:
     reliability: dict = None
 
     def to_dict(self):
-        """JSON-serializable form (floats round-trip exactly via repr)."""
-        from dataclasses import asdict
+        """JSON-serializable form (floats round-trip exactly via repr).
 
+        Epoch records are built field by field rather than through
+        ``dataclasses.asdict``, whose generic deep copy dominated warm
+        reads; the result equals ``asdict(epoch)`` for every
+        :class:`EpochResult` (``tests/test_runner.py`` holds them equal).
+        """
         return {
             "workload": self.workload,
             "policy": self.policy,
@@ -139,7 +143,16 @@ class RunResult:
             "cycles": self.cycles,
             "single_ipcs": None if self.single_ipcs is None
             else list(self.single_ipcs),
-            "epoch_history": [asdict(epoch) for epoch in self.epoch_history],
+            "epoch_history": [{
+                "epoch_id": epoch.epoch_id,
+                "kind": epoch.kind,
+                "committed": list(epoch.committed),
+                "cycles": epoch.cycles,
+                "ipcs": list(epoch.ipcs),
+                "shares": None if epoch.shares is None
+                else list(epoch.shares),
+                "solo_thread": epoch.solo_thread,
+            } for epoch in self.epoch_history],
             "reliability": self.reliability,
         }
 

@@ -185,8 +185,11 @@ class ServiceClient:
         status, _headers, body = self._request(
             "GET", "/v1/sweeps/%s/result" % job_id)
         if status != 200:
-            raise ServiceError(status,
-                               self._json(body).get("error", "unexpected"))
+            parsed = self._json(body)
+            detail = parsed.get("error", "unexpected")
+            if parsed.get("cells"):
+                detail += " (%s)" % ", ".join(parsed["cells"])
+            raise ServiceError(status, detail)
         return body.decode("utf-8")
 
     def cache_object(self, key):

@@ -740,12 +740,23 @@ class SweepService:
             return
         results = []
         quarantined = {}
+        evicted = []
         for cell, key in zip(job.cells, job.keys):
             if key in job.quarantined:
                 results.append(None)
                 quarantined[cell] = job.quarantined[key]
-            else:
-                results.append(self.cache.get(key))
+                continue
+            result = self.cache.get(key)
+            if result is None:
+                evicted.append(cell.label)
+            results.append(result)
+        if evicted:
+            # The entry was deleted, or sidelined as corrupt, after the
+            # job finished: a merge would pass it off as quarantined.
+            await send_response(writer, 410, {
+                "error": "result-evicted",
+                "cells": list(dict.fromkeys(evicted))})
+            return
         text = merged_json(job.cells, results, job.scale,
                            quarantined=quarantined)
         await send_response(writer, 200, body=text)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import _policy_factory, build_parser, main
@@ -460,3 +462,41 @@ class TestServiceCLI:
             if worker is not None:
                 worker.join(timeout=30.0)
             handle.stop(drain=False)
+
+    def test_submit_reports_an_evicted_result(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.experiments.parallel import (
+            ResultCache,
+            SweepEngine,
+            cache_key,
+            grid_cells,
+        )
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceConfig, ServiceHandle
+
+        cache_dir = str(tmp_path / "cache")
+        (cell,) = grid_cells(workloads=["art-mcf"], policies=["ICOUNT"])
+        scale = ExperimentScale.smoke().with_overrides(epochs=2)
+        SweepEngine(scale, cache_dir=cache_dir).run_cells([cell])
+        wait = ServiceClient.wait
+
+        def wait_then_evict(client, job_id, **kwargs):
+            status = wait(client, job_id, **kwargs)
+            os.remove(ResultCache(cache_dir)._path(cache_key(cell, scale)))
+            return status
+
+        monkeypatch.setattr(ServiceClient, "wait", wait_then_evict)
+        handle = ServiceHandle(ServiceConfig(
+            state_dir=str(tmp_path / "state"), cache_dir=cache_dir)).start()
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["submit", "--server", handle.url,
+                      "--workloads", "art-mcf", "--policies", "ICOUNT",
+                      "--scale", "smoke", "--epochs", "2", "--quiet"])
+        finally:
+            handle.stop(drain=False)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "HTTP 410: result-evicted (art-mcf/ICOUNT/s0)" \
+            in captured.err

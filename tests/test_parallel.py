@@ -10,12 +10,14 @@ The acceptance contract of docs/PARALLEL.md, as tests:
   finishes with metrics identical to an uninterrupted run.
 """
 
+import hashlib
 import json
 import os
 import time
 
 import pytest
 
+from repro.core.controller import EpochResult
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     ResultCache,
@@ -29,7 +31,10 @@ from repro.experiments.parallel import (
     merged_json,
     pool_map,
 )
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.export import _jsonable
+from repro.experiments.runner import ExperimentScale, RunResult
+from repro.policies import BASELINE_POLICIES
+from repro.workloads.mixes import get_workload, workload_names
 
 WORKLOADS = ("art-mcf", "apsi-eon")
 POLICIES = ("ICOUNT", "HILL")
@@ -205,6 +210,108 @@ class TestCache:
         engine = SweepEngine(scale, cache_dir=cache_dir, use_cache=False)
         engine.run_cells([small_grid()[0]])
         assert ResultCache(cache_dir).info().entries == 0
+
+
+# -- byte parity of the warm path with its plain-json spelling --------------
+
+
+def payload_key(cell, scale):
+    """:func:`cache_key` as the payload dict it hashes, through json."""
+    payload = {
+        "config": _jsonable(scale.config),
+        "workload": cell.workload,
+        "profiles": [_jsonable(profile)
+                     for profile in get_workload(cell.workload).profiles],
+        "policy": cell.policy,
+        "seed": cell.seed,
+        "schedule": {
+            "epoch_size": scale.epoch_size,
+            "epochs": cell.epochs if cell.epochs is not None
+            else scale.epochs,
+            "solo_epochs": scale.epochs,
+            "warmup": scale.warmup,
+        },
+        "code": code_fingerprint(cell.policy),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def hand_result(workload="art-mcf", policy="HILL-WIPC"):
+    """A small RunResult with a solo epoch, a shares=None epoch and a
+    non-ASCII reliability note, built without simulating."""
+    return RunResult(
+        workload=workload, policy=policy, ipcs=[0.5, 0.1 + 0.2],
+        committed=[512, 307], cycles=1024, single_ipcs=[1.25, 0.75],
+        epoch_history=[
+            EpochResult(epoch_id=0, kind="solo", committed=[9, 0],
+                        cycles=8, shares=[20, 12], solo_thread=0),
+            EpochResult(epoch_id=1, kind="normal", committed=[5, 3],
+                        cycles=8, shares=None),
+        ],
+        reliability={"retries": 1, "note": "r\u00e9sum\u00e9 \"x\""})
+
+
+class TestWarmPathParity:
+    def test_key_blob_equals_the_payload_encoding(self):
+        policies = sorted(BASELINE_POLICIES) + [
+            prefix + metric for prefix in ("HILL-", "PHASE-HILL-")
+            for metric in ("IPC", "WIPC", "HWIPC")]
+        for scale in (ExperimentScale.smoke(), ExperimentScale.bench(),
+                      ExperimentScale.full()):
+            for epochs in (None, 3):
+                for name in workload_names():
+                    for policy in policies:
+                        cell = SweepCell(workload=name, policy=policy,
+                                         seed=scale.seed, epochs=epochs)
+                        assert cache_key(cell, scale) == \
+                            payload_key(cell, scale), cell
+
+    def test_equal_values_json_writes_differently_get_their_own_key(
+            self, scale):
+        # 300 == 300.0 and True == 1, but JSON writes them differently,
+        # so the memoized fragments must not hand one's text to the other.
+        cell = small_grid()[0]
+        as_float = scale.with_overrides(
+            config=scale.config.with_overrides(mem_latency=300.0))
+        as_int = scale.with_overrides(
+            config=scale.config.with_overrides(mem_latency=300))
+        assert as_float.config == as_int.config
+        for variant in (as_int, as_float, as_int):
+            assert cache_key(cell, variant) == payload_key(cell, variant)
+        assert cache_key(cell, as_float) != cache_key(cell, as_int)
+
+    def test_fragment_memo_is_bounded(self, scale):
+        cell = small_grid()[0]
+        for latency in range(100, 100 + 2 * parallel._FRAGMENTS_MAXSIZE):
+            bigger = scale.with_overrides(
+                config=scale.config.with_overrides(mem_latency=latency))
+            assert cache_key(cell, bigger) == payload_key(cell, bigger)
+            assert len(parallel._FRAGMENTS) <= parallel._FRAGMENTS_MAXSIZE
+
+    def test_entry_bytes_equal_the_plain_json_entry(self, tmp_path):
+        cell = SweepCell(workload="art-mcf", policy="HILL-WIPC", epochs=3)
+        result = hand_result()
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = "ab" + "0" * 62
+        cache.put(key, cell, result)
+        result_dict = result.to_dict()
+        digest = hashlib.sha256(
+            json.dumps(result_dict, sort_keys=True).encode()).hexdigest()
+        with open(cache._path(key)) as handle:
+            assert handle.read() == json.dumps(
+                {"cell": _jsonable(cell), "key": key, "sha256": digest,
+                 "result": result_dict}, sort_keys=True)
+        assert cache.get(key).to_dict() == result_dict
+
+    def test_merged_json_equals_json_dumps(self, scale):
+        cells = small_grid()[:2]
+        results = [hand_result(cells[0].workload, cells[0].policy), None]
+        quarantined = {cells[1]: {"attempts": 3,
+                                  "last_error": "Boom: \u2603\nstack"}}
+        assert merged_json(cells, results, scale, quarantined) == json.dumps(
+            parallel.merged_document(cells, results, scale, quarantined),
+            indent=1, sort_keys=True) + "\n"
 
 
 # -- kill and resume --------------------------------------------------------

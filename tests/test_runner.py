@@ -1,11 +1,16 @@
 """Tests for the experiment runner machinery."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.core.controller import EpochResult
 from repro.core.metrics import AvgIPC, WeightedIPC
+from repro.experiments.parallel import policy_factory
 from repro.experiments.runner import (
     SOLO_CACHE_MAXSIZE,
     ExperimentScale,
+    RunResult,
     _LRUCache,
     baseline_factories,
     clear_solo_cache,
@@ -177,6 +182,56 @@ class TestRunPolicy:
         a = run_policy(get_workload("art-mcf"), ICountPolicy(), scale)
         b = run_policy(get_workload("art-mcf"), ICountPolicy(), scale)
         assert a.ipcs == b.ipcs
+
+
+def asdict_form(result):
+    """:meth:`RunResult.to_dict` as written with ``dataclasses.asdict``."""
+    return {
+        "workload": result.workload,
+        "policy": result.policy,
+        "ipcs": list(result.ipcs),
+        "committed": list(result.committed),
+        "cycles": result.cycles,
+        "single_ipcs": None if result.single_ipcs is None
+        else list(result.single_ipcs),
+        "epoch_history": [asdict(epoch) for epoch in result.epoch_history],
+        "reliability": result.reliability,
+    }
+
+
+class TestToDict:
+    def test_equals_the_asdict_form_on_a_hill_run(self, scale):
+        # HILL's first epoch samples a SingleIPC: a solo epoch with a
+        # solo thread, then normal epochs with partition shares.
+        result = run_policy(get_workload("art-mcf"),
+                            policy_factory("HILL", scale)(), scale,
+                            epochs=3)
+        assert [epoch.kind for epoch in result.epoch_history] == [
+            "solo", "normal", "normal"]
+        assert result.to_dict() == asdict_form(result)
+
+    def test_equals_the_asdict_form_on_edge_records(self):
+        result = RunResult(
+            workload="art-mcf", policy="HILL-WIPC", ipcs=[0.5, 0.25],
+            committed=[512, 256], cycles=1024, single_ipcs=None,
+            epoch_history=[
+                EpochResult(epoch_id=0, kind="normal", committed=[3, 1],
+                            cycles=4),
+                EpochResult(epoch_id=1, kind="solo", committed=[7, 0],
+                            cycles=8, shares=[20, 12], solo_thread=0),
+                EpochResult(epoch_id=2, kind="normal", committed=[0, 0],
+                            cycles=0, ipcs=[0.0, 0.0], shares=None),
+            ],
+            reliability={"retries": 1, "faults": ["rob-flip"],
+                         "resumed_from": {"epoch": 2}})
+        data = result.to_dict()
+        assert data == asdict_form(result)
+        assert data["epoch_history"][0]["shares"] is None
+        assert data["reliability"] is result.reliability
+        assert RunResult.from_dict(data).to_dict() == data
+        # Lists are copies: mutating the dict leaves the result alone.
+        data["epoch_history"][1]["shares"].append(99)
+        assert result.epoch_history[1].shares == [20, 12]
 
 
 class TestMultiSeed:

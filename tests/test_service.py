@@ -331,6 +331,43 @@ class TestEndToEnd:
         assert client.result(record["job"]) == merged_json(
             cells, engine.run_cells(cells), scale)
 
+    @pytest.mark.parametrize("damage", ["delete", "corrupt"])
+    def test_evicted_result_is_a_410_naming_the_cells(self, service,
+                                                      damage):
+        # A finished job's entry disappears (deleted, or sidelined as
+        # corrupt by the read) before its result is fetched: the daemon
+        # must say so, not merge the cell in as "quarantined".
+        client = ServiceClient(service.url)
+        record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
+        run_worker(server_url=service.url, max_cells=1)
+        client.wait(record["job"], deadline=60.0)
+        (cell,) = grid_cells(**ONE_CELL)
+        path = ResultCache(service.service.config.cache_dir)._path(
+            cache_key(cell, ExperimentScale.smoke()))
+        if damage == "delete":
+            os.remove(path)
+        else:
+            with open(path, "w") as handle:
+                handle.write("{truncated")
+        with pytest.raises(ServiceError) as caught:
+            client.result(record["job"])
+        assert caught.value.status == 410
+        assert caught.value.detail == "result-evicted (%s)" % cell.label
+        status, _headers, body = client._request(
+            "GET", "/v1/sweeps/%s/result" % record["job"])
+        assert (status, json.loads(body)) == (
+            410, {"error": "result-evicted", "cells": [cell.label]})
+        assert client.status(record["job"])["quarantined"] == 0
+
+        # Resubmitting re-simulates the evicted cell.
+        again = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
+        assert again["cached"] == 0
+        run_worker(server_url=service.url, max_cells=1)
+        client.wait(again["job"], deadline=60.0)
+        doc = json.loads(client.result(again["job"]))
+        assert [entry["workload"] for entry in doc["cells"]] == ["art-mcf"]
+        assert doc["quarantined"] == []
+
     def test_event_stream_offsets_and_unknown_job(self, service):
         client = ServiceClient(service.url)
         record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
