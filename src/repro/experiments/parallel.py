@@ -449,6 +449,14 @@ def default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweeps")
 
 
+#: The fixed text of a result entry around its cell, key, result and
+#: digest: ``{"cell": C, "key": K, "result": R, "sha256": "S"}``.
+_CELL_HEAD = '{"cell": '
+_KEY_SEP = ', "key": %s, "result": '
+_DIGEST_SEP = ', "sha256": "'
+_ENTRY_END = '"}'
+
+
 class ResultCache:
     """Content-addressed store of finished cell results.
 
@@ -463,7 +471,9 @@ class ResultCache:
     also counts as a miss and is moved aside to ``<key>.corrupt`` with a
     one-line warning, so it can never shadow the re-simulated result nor
     poison later invocations.  ``repro cache info`` counts the sidelined
-    entries.
+    entries.  An entry in :meth:`put`'s layout is verified by hashing its
+    stored result bytes (:meth:`verify`); any other goes through the full
+    parse-and-re-encode check, with the same verdicts.
 
     SingleIPC values live beside the results, under
     ``<dir>/solos/<key[:2]>/<key>.json`` (key: :func:`solo_key`), read
@@ -498,26 +508,86 @@ class ResultCache:
         """sha256 of the canonical (sorted-key) result payload text."""
         return hashlib.sha256(result_text.encode()).hexdigest()
 
-    def get(self, key):
+    @classmethod
+    def _stored_result(cls, text, key):
+        """``(digest, result text)`` of an entry in :meth:`put`'s exact
+        layout whose stored digest is the sha256 of its result text as
+        stored, else ``None``.
+
+        A match is an accept the full check in :meth:`_checked` would
+        also give: the digest fixes the result text as the canonical
+        text :meth:`put` hashed, the key is the literal one asked for,
+        and the cell text must parse.  It never rejects; anything else
+        goes to the full check, so verdicts and warnings stay its own.
+        """
+        marker = _KEY_SEP % json.dumps(key)
+        digest_at = len(text) - len(_ENTRY_END) - 64
+        result_end = digest_at - len(_DIGEST_SEP)
+        if not (result_end > len(_CELL_HEAD)
+                and text.startswith(_CELL_HEAD) and text.endswith(_ENTRY_END)
+                and text[result_end:digest_at] == _DIGEST_SEP):
+            return None
+        split = text.find(marker, len(_CELL_HEAD))
+        if split < 0:
+            return None
+        result_text = text[split + len(marker):result_end]
+        digest = text[digest_at:-len(_ENTRY_END)]
+        if cls._result_digest(result_text) != digest:
+            return None
+        try:
+            json.loads(text[len(_CELL_HEAD):split])
+        except ValueError:
+            return None
+        return digest, result_text
+
+    def _checked(self, path, key):
+        """Read and verify one entry: ``(digest, canonical result
+        text)``; raises what a corrupt entry raises."""
+        with open(path) as handle:
+            text = handle.read()
+        stored = self._stored_result(text, key)
+        if stored is not None:
+            return stored
+        document = json.loads(text)
+        if document["key"] != key:
+            raise ValueError(
+                "entry filed under key %s… carries key %s…"
+                % (key[:12], str(document["key"])[:12]))
+        result_text = json.dumps(document["result"], sort_keys=True)
+        digest = self._result_digest(result_text)
+        if document["sha256"] != digest:
+            raise ValueError(
+                "stored digest %s… does not match payload digest %s…"
+                % (str(document["sha256"])[:12], digest[:12]))
+        return digest, result_text
+
+    def verify(self, key):
+        """Verify one entry without building its result.
+
+        Returns ``(digest, result text)`` — the sha256 the entry stores
+        and the canonical result text it names — or ``None`` for a miss.
+        An entry in :meth:`put`'s layout costs one read and one sha256
+        of its stored result bytes; any other entry gets the full check
+        (parse, re-encode, digest), so a rewritten but equal entry still
+        verifies.  A corrupt entry is sidelined, as by :meth:`get`.
+        """
         path = self._path(key)
         try:
-            with open(path) as handle:
-                document = json.load(handle)
-            if document["key"] != key:
-                raise ValueError(
-                    "entry filed under key %s… carries key %s…"
-                    % (key[:12], str(document["key"])[:12]))
-            digest = self._result_digest(
-                json.dumps(document["result"], sort_keys=True))
-            if document["sha256"] != digest:
-                raise ValueError(
-                    "stored digest %s… does not match payload digest %s…"
-                    % (str(document["sha256"])[:12], digest[:12]))
-            return RunResult.from_dict(document["result"])
+            return self._checked(path, key)
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             self._sideline(path, "cache entry", key, exc)
+            return None
+
+    def get(self, key):
+        verified = self.verify(key)
+        if verified is None:
+            return None
+        try:
+            return RunResult.from_dict(json.loads(verified[1]))
+        except (ValueError, KeyError, TypeError) as exc:
+            self._sideline(self._path(key), "cache entry", key, exc)
             return None
 
     def put(self, key, cell, result):
@@ -535,9 +605,10 @@ class ResultCache:
         # sort_keys=True), written out around the one canonical result
         # text the digest is taken over.
         result_text = json.dumps(result.to_dict(), sort_keys=True)
-        payload = '{"cell": %s, "key": %s, "result": %s, "sha256": %s}' % (
-            json.dumps(_jsonable(cell), sort_keys=True), json.dumps(key),
-            result_text, json.dumps(self._result_digest(result_text)))
+        payload = "".join((
+            _CELL_HEAD, json.dumps(_jsonable(cell), sort_keys=True),
+            _KEY_SEP % json.dumps(key), result_text,
+            _DIGEST_SEP, self._result_digest(result_text), _ENTRY_END))
         self._write(self._path(key), payload)
 
     @staticmethod

@@ -10,7 +10,8 @@ same ``_execute_cell`` path the process pool uses, and upload
 are then *read back from the cache* in request order and serialized by
 :func:`~repro.experiments.parallel.merged_json` — which is why a
 service sweep is byte-identical to a serial in-process one: identity
-lives in the cache key, the service only moves bytes.
+lives in the cache key, the service only moves bytes.  Every fetch
+reads and re-verifies every entry, and renders the merge afresh.
 
 Failure containment is :class:`CellSupervisor`'s, lifted from process
 level to node level — both are adapters over one
@@ -253,6 +254,12 @@ class SweepService:
             json.dump(snapshot, handle, sort_keys=True)
         os.replace(tmp, self._snapshot_path)
 
+    def _ledger_by_key(self):
+        """The quarantine ledger's latest entry per cache key (one read
+        of the file, so a torn line warns once per caller)."""
+        return {entry.get("key"): entry for entry in self.ledger.entries()
+                if entry.get("key")}
+
     def _restore(self):
         """Rebuild jobs from the journal and tasks from the snapshot.
 
@@ -276,9 +283,7 @@ class SweepService:
             os.remove(self._snapshot_path)
         except OSError:
             pass
-        quarantined_by_key = {entry.get("key"): entry
-                              for entry in self.ledger.entries()
-                              if entry.get("key")}
+        quarantined_by_key = self._ledger_by_key()
         done_ids = {rec["job"] for rec in records if rec.get("done")}
         for rec in records:
             if rec.get("done") or "job" not in rec or rec["job"] in self.jobs:
@@ -308,7 +313,7 @@ class SweepService:
                 if key in quarantined_by_key:
                     job.quarantined[key] = quarantined_by_key[key]
                     continue
-                if self.cache.get(key) is not None:
+                if self.cache.verify(key) is not None:
                     job.cached += 1
                     continue
                 job.pending.add(key)
@@ -590,17 +595,18 @@ class SweepService:
         new_tasks = []
         cached_cells = []
         quarantined_keys = {}
+        ledger = None
         for cell, key in unique:
             task = self.tasks.get(key)
             if task is not None and task.state == "quarantined":
                 # Already given up on in this daemon's lifetime: the
                 # job inherits the verdict instead of burning attempts.
-                entry = next((e for e in self.ledger.entries()
-                              if e.get("key") == key), {})
-                quarantined_keys[key] = entry
+                if ledger is None:
+                    ledger = self._ledger_by_key()
+                quarantined_keys[key] = ledger.get(key, {})
             elif task is not None and task.state != "done":
                 new_tasks.append((cell, key, task))
-            elif self.cache.get(key) is not None:
+            elif self.cache.verify(key) is not None:
                 cached_cells.append(cell)
             else:
                 new_tasks.append((cell, key, None))
@@ -718,12 +724,14 @@ class SweepService:
         await start_ndjson_stream(writer)
         # Reader-driven: a slow consumer blocks only its own connection
         # (its TCP window), never the scheduler or other streams.
+        # Each wake-up writes the whole backlog as one chunk.
         while True:
             while offset < len(job.events):
-                line = json.dumps(job.events[offset]) + "\n"
-                writer.write(line.encode("utf-8"))
+                backlog = job.events[offset:]
+                offset += len(backlog)
+                writer.write("".join(json.dumps(event) + "\n"
+                                     for event in backlog).encode("utf-8"))
                 await writer.drain()
-                offset += 1
             if job.done or self.draining:
                 return
             await asyncio.sleep(self.config.tick_interval)

@@ -10,12 +10,16 @@ The acceptance contract of docs/PARALLEL.md, as tests:
   finishes with metrics identical to an uninterrupted run.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import EpochResult
 from repro.experiments import parallel
@@ -537,6 +541,127 @@ class TestCacheDigest:
         assert cache.get(key) is None
         assert "filed under key" in capsys.readouterr().err
         assert cache.info().corrupt == 1
+
+
+def reference_get(cache, key):
+    """The entry check that parses the whole entry and re-encodes its
+    result for the digest: the verdicts the stored-bytes read keeps."""
+    path = cache._path(key)
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+        if document["key"] != key:
+            raise ValueError(
+                "entry filed under key %s… carries key %s…"
+                % (key[:12], str(document["key"])[:12]))
+        digest = hashlib.sha256(json.dumps(
+            document["result"], sort_keys=True).encode()).hexdigest()
+        if document["sha256"] != digest:
+            raise ValueError(
+                "stored digest %s… does not match payload digest %s…"
+                % (str(document["sha256"])[:12], digest[:12]))
+        return RunResult.from_dict(document["result"])
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        cache._sideline(path, "cache entry", key, exc)
+        return None
+
+
+PARITY_KEY = "ab" + "0" * 62
+OTHER_KEY = "cd" + "1" * 62
+PARITY_CELL = SweepCell(workload="art-mcf", policy="HILL-WIPC", epochs=3)
+
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("flip"),
+              st.sampled_from(("cell", "key", "result", "sha256")),
+              st.integers(0, 10 ** 6), st.integers(1, 255)),
+    st.tuples(st.just("swap-key")),
+    st.tuples(st.just("dump")),
+    st.tuples(st.just("dump-indent")))
+
+
+def damaged_entry(damage):
+    """The bytes of a :meth:`ResultCache.put` entry under ``PARITY_KEY``
+    after ``damage``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = ResultCache(scratch)
+        key = OTHER_KEY if damage[0] == "swap-key" else PARITY_KEY
+        cache.put(key, PARITY_CELL, hand_result())
+        with open(cache._path(key), "rb") as handle:
+            data = handle.read()
+    kind = damage[0]
+    if kind == "truncate":
+        return data[:damage[1] % (len(data) + 1)]
+    if kind == "flip":
+        text = data.decode()
+        starts = {"cell": text.index("{", 1), "key": text.index(key),
+                  "result": text.index('"result": ') + 10,
+                  "sha256": text.index('"sha256": ') + 11}
+        ends = {"cell": text.index(', "key": '), "key": text.index(key) + 64,
+                "result": text.index(', "sha256": '),
+                "sha256": len(text) - 2}
+        start, end = starts[damage[1]], ends[damage[1]]
+        at = start + damage[2] % (end - start)
+        return data[:at] + bytes([data[at] ^ damage[3]]) + data[at + 1:]
+    if kind in ("dump", "dump-indent"):
+        document = json.loads(data)
+        return json.dumps(document, indent=2 if kind == "dump-indent"
+                          else None).encode()
+    return data
+
+
+def read_verdicts(data, read):
+    """``read(cache, PARITY_KEY)`` over an entry holding ``data``: the
+    result's payload (``None`` on a miss), the warning text and whether
+    the entry was sidelined."""
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = ResultCache(scratch)
+        path = cache._path(PARITY_KEY)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            value = read(cache, PARITY_KEY)
+        sidelined = os.path.exists(path[:-len(".json")] + ".corrupt")
+    return value, err.getvalue(), sidelined
+
+
+class TestStoredBytesRead:
+    @settings(max_examples=300, deadline=None)
+    @given(DAMAGE)
+    def test_read_verdicts_equal_the_full_check(self, damage):
+        data = damaged_entry(damage)
+        expected = read_verdicts(data, reference_get)
+        got = read_verdicts(data, ResultCache.get)
+        assert got[1:] == expected[1:]
+        assert (got[0] is None) == (expected[0] is None)
+        if expected[0] is not None:
+            assert got[0].to_dict() == expected[0].to_dict()
+        probe = read_verdicts(data, ResultCache.verify)
+        assert probe[1:] == expected[1:]
+        assert (probe[0] is None) == (expected[0] is None)
+        if damage[0] in ("dump", "dump-indent"):
+            assert got[0].to_dict() == hand_result().to_dict()
+
+    def test_verify_returns_the_stored_digest_and_text(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        result = hand_result()
+        cache.put(PARITY_KEY, PARITY_CELL, result)
+        digest, text = cache.verify(PARITY_KEY)
+        assert text == json.dumps(result.to_dict(), sort_keys=True)
+        with open(cache._path(PARITY_KEY)) as handle:
+            assert json.load(handle)["sha256"] == digest
+        assert cache.get(PARITY_KEY).to_dict() == result.to_dict()
+        # A rewritten but equal entry verifies to the same digest.
+        with open(cache._path(PARITY_KEY)) as handle:
+            document = json.load(handle)
+        with open(cache._path(PARITY_KEY), "w") as handle:
+            json.dump(document, handle, indent=2)
+        assert cache.verify(PARITY_KEY) == (digest, text)
+        assert cache.verify(OTHER_KEY) is None
 
 
 class TestCacheConcurrency:

@@ -18,6 +18,7 @@ Most tests never simulate a cell: leases and failures are exercised by
 hand-rolled worker HTTP calls, so the suite stays fast.
 """
 
+import hashlib
 import json
 import os
 import threading
@@ -25,6 +26,8 @@ import time
 
 import pytest
 
+from repro.core.controller import EpochResult
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ResultCache,
     SweepEngine,
@@ -32,7 +35,7 @@ from repro.experiments.parallel import (
     grid_cells,
     merged_json,
 )
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, RunResult
 from repro.reliability.supervisor import SWEEP_EVENTS, QuarantineLedger
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError, SubmitRejected
@@ -41,6 +44,7 @@ from repro.service.worker import _http, run_worker
 
 ONE_CELL = {"workloads": ["art-mcf"], "policies": ["ICOUNT"],
             "seeds": [0], "epochs": 2}
+TWO_CELLS = dict(ONE_CELL, policies=["ICOUNT", "DCRA"])
 SCALE_SPEC = {"scale": "smoke"}
 
 
@@ -63,6 +67,45 @@ def lease_one(url):
     worker = registered["worker"]
     status, task = _http("POST", "%s/v1/workers/%s/lease" % (url, worker))
     return worker, status, task
+
+
+def stub_result(cell, ipc=0.5):
+    """A valid RunResult for ``cell``, built without simulating."""
+    return RunResult(
+        workload=cell.workload, policy=cell.policy, ipcs=[ipc, 0.25],
+        committed=[100, 50], cycles=200, single_ipcs=[1.0, 0.5],
+        epoch_history=[EpochResult(epoch_id=0, kind="normal",
+                                   committed=[10, 5], cycles=20,
+                                   shares=[16, 16])])
+
+
+def prefill(service, grid, ipc=0.5):
+    """Store a stub result for every cell of ``grid``; returns the cells,
+    their cache keys and the cache."""
+    cache = ResultCache(service.service.config.cache_dir)
+    cells = grid_cells(**grid)
+    keys = [cache_key(cell, ExperimentScale.smoke()) for cell in cells]
+    for cell, key in zip(cells, keys):
+        cache.put(key, cell, stub_result(cell, ipc))
+    return cells, keys, cache
+
+
+def fail_every_lease(url, client, job_id):
+    """Answer each lease with a worker failure until the job is done
+    (every leased cell quarantines after ``max_attempts``)."""
+    status, registered = _http("POST", url + "/v1/workers/register",
+                               {"name": "failing"})
+    worker = registered["worker"]
+    deadline = time.monotonic() + 30.0
+    while client.status(job_id)["state"] != "done":
+        assert time.monotonic() < deadline
+        status, task = _http("POST", "%s/v1/workers/%s/lease"
+                             % (url, worker))
+        if status != 200:
+            time.sleep(0.02)
+            continue
+        _http("POST", "%s/v1/workers/%s/result" % (url, worker),
+              {"key": task["key"], "ok": False, "error": "sim exploded"})
 
 
 # -- wire protocol ----------------------------------------------------------
@@ -169,6 +212,27 @@ class TestSubmit:
                          scale=SCALE_SPEC)
         finally:
             handle.stop(drain=False)
+
+    def test_submit_reads_the_quarantine_ledger_once(self, service,
+                                                     capsys):
+        client = ServiceClient(service.url)
+        record = client.submit(grid=TWO_CELLS, scale=SCALE_SPEC)
+        fail_every_lease(service.url, client, record["job"])
+        assert client.status(record["job"])["quarantined"] == 2
+        ledger = service.service.ledger
+        with open(ledger.path, "a") as handle:
+            handle.write('{"key": "torn')  # a crash mid-append
+        capsys.readouterr()
+        reads = []
+        entries = ledger.entries
+        ledger.entries = lambda: reads.append(1) or entries()
+        again = client.submit(grid=TWO_CELLS, scale=SCALE_SPEC)
+        assert again["done"] and len(reads) == 1
+        assert capsys.readouterr().err.count(
+            "skipping corrupt quarantine-ledger line") == 1
+        labels = {row["policy"] for row in json.loads(
+            client.result(again["job"]))["quarantined"]}
+        assert labels == {"ICOUNT", "DCRA"}
 
     def test_draining_daemon_answers_503(self, service):
         client = ServiceClient(service.url)
@@ -368,6 +432,66 @@ class TestEndToEnd:
         assert [entry["workload"] for entry in doc["cells"]] == ["art-mcf"]
         assert doc["quarantined"] == []
 
+    def test_warm_result_serves_the_bytes_now_stored(self, service):
+        # A different valid result stored under the same key between two
+        # warm submits: the next merged result carries the new bytes.
+        client = ServiceClient(service.url)
+        cells, keys, cache = prefill(service, ONE_CELL, ipc=0.5)
+        scale = ExperimentScale.smoke()
+        first = client.result(client.submit(
+            grid=ONE_CELL, scale=SCALE_SPEC)["job"])
+        assert first == merged_json(cells, [stub_result(cells[0], 0.5)],
+                                    scale)
+        assert client.result(client.submit(
+            grid=ONE_CELL, scale=SCALE_SPEC)["job"]) == first
+        cache.put(keys[0], cells[0], stub_result(cells[0], 0.75))
+        record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
+        assert client.result(record["job"]) == merged_json(
+            cells, [stub_result(cells[0], 0.75)], scale)
+
+    def test_verified_entry_that_is_no_result_answers_410(self, service):
+        # The digests match, but the payloads have no result's shape:
+        # the submit's verify-only probe counts them cached, the fetch
+        # cannot load them, sidelines them and names every such cell.
+        client = ServiceClient(service.url)
+        cells, keys, cache = prefill(service, TWO_CELLS)
+        result_text = json.dumps({"workload": "art-mcf"})
+        for key in keys:
+            cache._write(cache._path(key), json.dumps({
+                "cell": {}, "key": key, "result": {"workload": "art-mcf"},
+                "sha256": hashlib.sha256(result_text.encode()).hexdigest()}))
+        record = client.submit(grid=TWO_CELLS, scale=SCALE_SPEC)
+        assert record["cached"] == 2
+        with pytest.raises(ServiceError) as caught:
+            client.result(record["job"])
+        assert caught.value.status == 410
+        assert caught.value.detail == "result-evicted (%s)" % ", ".join(
+            cell.label for cell in cells)
+        assert cache.info().corrupt == 2
+
+    def test_cached_submit_and_result_open_each_entry_once(
+            self, service, monkeypatch):
+        client = ServiceClient(service.url)
+        grid = dict(TWO_CELLS, workloads=["art-mcf", "apsi-eon"])
+        _cells, keys, cache = prefill(service, grid)
+        paths = {cache._path(key) for key in keys}
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            if path in paths:
+                opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "open", counting_open, raising=False)
+        for _warm in range(2):
+            record = client.submit(grid=grid, scale=SCALE_SPEC)
+            assert record["cached"] == len(keys)
+            assert sorted(opened) == sorted(paths)
+            del opened[:]
+            client.result(record["job"])
+            assert sorted(opened) == sorted(paths)
+            del opened[:]
+
     def test_event_stream_offsets_and_unknown_job(self, service):
         client = ServiceClient(service.url)
         record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
@@ -376,6 +500,13 @@ class TestEndToEnd:
         assert events[0]["event"] == "job-accepted"
         tail = list(client.events(record["job"], offset=len(events) - 1))
         assert tail == events[-1:]
+        # The backlog goes out as one chunk of the same JSON lines.
+        _status, _headers, body = client._request(
+            "GET", "/v1/sweeps/%s/events" % record["job"])
+        assert body == "".join(
+            json.dumps(event) + "\n"
+            for event in service.service.jobs[record["job"]].events
+        ).encode()
         with pytest.raises(ServiceError) as caught:
             client.status("job-999999")
         assert caught.value.status == 404
