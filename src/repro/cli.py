@@ -56,10 +56,6 @@ Commands
 ``loadtest``
     Hammer a daemon with many concurrent clients on a warm cache and
     report latency percentiles, throughput and throttle counts.
-``profile``
-    Simulator throughput: run one workload/policy under the fast
-    and/or reference core and report wall time, KIPS, skip ratio and
-    per-stage cycle activity (see docs/INTERNALS.md).
 ``cache``
     ``info``/``clear`` for the sweep result cache.
 
@@ -85,7 +81,6 @@ from repro.experiments.runner import (
     run_policy,
     solo_ipc,
 )
-from repro.pipeline.fastpath import CORE_MODES
 from repro.workloads.mixes import GROUPS, get_workload, workload_names
 from repro.workloads.spec2000 import PROFILES, get_profile
 
@@ -551,49 +546,6 @@ def cmd_chaos(args):
     return 0 if report["ok"] else 1
 
 
-def cmd_profile(args):
-    from repro.experiments.profiling import profile_run
-    from repro.pipeline.profile import STAGES
-
-    scale = _scale_from(args)
-    workload = _get_workload_checked(args.workload)
-    records = {}
-    for core in args.cores:
-        policy = _policy_factory(args.policy, scale)()
-        print("profiling %s under %s [%s core]..."
-              % (workload.name, policy.name, core))
-        records[core] = profile_run(workload, policy, scale, core=core)
-    print(format_table(
-        ["core", "cycles", "committed", "IPC", "wall (s)", "KIPS",
-         "skip ratio", "skips"],
-        [[core, record["cycles"], record["committed"],
-          "%.3f" % record["ipc"], "%.3f" % record["wall_s"],
-          "%.1f" % record["kips"], "%.3f" % record["skip_ratio"],
-          record["skip_events"]]
-         for core, record in records.items()]))
-    print()
-    print(format_table(
-        ["stage"] + ["%s active" % core for core in records],
-        [[stage] + [record["stage_cycles"][stage]
-                    for record in records.values()]
-         for stage in STAGES]))
-    if "fast" in records and "reference" in records:
-        fast_wall = records["fast"]["wall_s"]
-        if fast_wall > 0:
-            print()
-            print("fast-core speedup: %.2fx"
-                  % (records["reference"]["wall_s"] / fast_wall))
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump({"workload": workload.name, "policy": args.policy,
-                       "records": records}, handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print("profile records written to %s" % args.out)
-
-
 def cmd_cache(args):
     from repro.experiments.parallel import ResultCache
 
@@ -954,20 +906,6 @@ def build_parser():
     # The grid is 4 smoke-or-larger cells run twice (chaos + reference);
     # smoke keeps it interactive, like `verify`.
     sub.set_defaults(func=cmd_chaos, scale="smoke")
-
-    sub = commands.add_parser(
-        "profile",
-        help="simulator throughput: wall time, KIPS, skip ratio and "
-             "per-stage activity under each core")
-    sub.add_argument("--workload", default="art-mcf")
-    sub.add_argument("--policy", default="ICOUNT")
-    sub.add_argument("--cores", nargs="+", choices=CORE_MODES,
-                     default=["fast", "reference"],
-                     help="which run-loop cores to time")
-    sub.add_argument("--out", default=None, metavar="FILE",
-                     help="write the profile records as JSON here")
-    _add_scale_args(sub)
-    sub.set_defaults(func=cmd_profile)
 
     sub = commands.add_parser(
         "lint",

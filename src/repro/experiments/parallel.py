@@ -218,10 +218,10 @@ _FAMILY_ENTRIES = {
 #: SingleIPC runs).  Package ``__init__`` files are hashed because
 #: importing any closure module executes them.
 _CORE_SOURCES = (
-    # Directory entries hash every .py under them, so the run-loop core
-    # modules (pipeline/fastpath.py, pipeline/profile.py) are covered by
-    # "pipeline" — editing either core invalidates every cell, exactly as
-    # editing the reference loop does.
+    # Directory entries hash every .py under them, so the fast core's
+    # quiescence module (pipeline/fastpath.py) is covered by "pipeline" —
+    # editing it invalidates every cell, exactly as editing the reference
+    # loop does.
     "pipeline", "memory", "branch", "workloads",
     "__init__.py", "core/__init__.py", "experiments/__init__.py",
     "policies/__init__.py", "reliability/__init__.py",

@@ -64,8 +64,9 @@ class forced_core:
 
     Takes precedence over ``REPRO_CORE`` and nests (the previous override
     is restored on exit).  Used by the differential tests and the
-    profiling harness, which must run the same machine under both cores
-    inside one process without mutating the environment.
+    ``scripts/bench_core.py --check`` throughput gate, which must run the
+    same machine under both cores inside one process without mutating
+    the environment.
     """
 
     def __init__(self, mode):

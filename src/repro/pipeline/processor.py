@@ -191,9 +191,6 @@ class SMTProcessor:
         #: Optional :class:`~repro.pipeline.trace.PipelineTracer` for
         #: per-instruction stage traces (debugging aid; None = off).
         self.trace = None
-        #: Optional :class:`~repro.pipeline.profile.CoreProfile` receiving
-        #: per-stage activity and fast-forward skip counters (None = off).
-        self.profile = None
         if warm_caches:
             self._warm_caches(profiles)
         # Policy.
@@ -260,12 +257,7 @@ class SMTProcessor:
         """
         end = self.cycle + num_cycles
         if core_mode() == "reference":
-            if self.profile is not None:
-                self._run_profiled(end, fast=False)
-            else:
-                self._run_reference(end)
-        elif self.profile is not None:
-            self._run_profiled(end, fast=True)
+            self._run_reference(end)
         else:
             self._run_fast(end)
 
@@ -325,67 +317,6 @@ class SMTProcessor:
             policy.on_cycle(self)
             self.cycle = cycle + 1
             stats.cycles += 1
-
-    def _run_profiled(self, end, fast):
-        """Either core with :class:`~repro.pipeline.profile.CoreProfile`
-        instrumentation: stage activity is detected from cheap state
-        deltas, so the simulation itself stays byte-identical to the
-        unprofiled loops."""
-        profile = self.profile
-        policy = self.policy
-        stats = self.stats
-        ready = self._ready
-        completions = self._completions
-        detections = self._detections
-        active = profile.active_cycles
-        committed = stats.committed
-        while self.cycle < end:
-            cycle = self.cycle
-            if fast and not ready \
-                    and (not completions or completions[0][0] > cycle) \
-                    and (not detections or detections[0][0] > cycle):
-                horizon = quiescent_horizon(self, end)
-                if horizon is not None:
-                    profile.note_skip(apply_skip(self, horizon))
-                    continue
-            busy = False
-            before = len(completions)
-            self._do_completions(cycle)
-            if len(completions) != before:
-                active["complete"] += 1
-                busy = True
-            if detections:
-                before = len(detections)
-                self._do_detections(cycle)
-                if len(detections) != before:
-                    active["detect"] += 1
-                    busy = True
-            before = sum(committed)
-            self._do_commit()
-            if sum(committed) != before:
-                active["commit"] += 1
-                busy = True
-            before = len(completions)
-            self._do_issue(cycle)
-            if len(completions) != before:
-                active["issue"] += 1
-                busy = True
-            before = self.ifq_total
-            self._do_dispatch()
-            if self.ifq_total < before:
-                active["dispatch"] += 1
-                busy = True
-            before = self.ifq_total
-            self._do_fetch(cycle)
-            if self.ifq_total > before:
-                active["fetch"] += 1
-                busy = True
-            if not busy:
-                active["idle"] += 1
-            policy.on_cycle(self)
-            self.cycle = cycle + 1
-            stats.cycles += 1
-            profile.executed_cycles += 1
 
     def charge_stall(self, num_cycles):
         """Freeze the whole machine for ``num_cycles`` (the paper charges a

@@ -112,53 +112,6 @@ class TestBadNames:
         assert "BOGUS" in capsys.readouterr().err
 
 
-class TestProfileCommand:
-    def test_profile_smoke(self, capsys, tmp_path):
-        out = tmp_path / "profile.json"
-        main(["profile", "--workload", "art-mcf", "--policy", "FLUSH",
-              "--scale", "smoke", "--out", str(out)])
-        text = capsys.readouterr().out
-        assert "KIPS" in text and "skip ratio" in text
-        assert "fast-core speedup" in text
-        import json
-
-        records = json.loads(out.read_text())["records"]
-        assert set(records) == {"fast", "reference"}
-        # Both cores simulated the identical window.
-        assert records["fast"]["cycles"] == records["reference"]["cycles"]
-        assert records["fast"]["committed"] == \
-            records["reference"]["committed"]
-        assert records["reference"]["skip_events"] == 0
-
-    def test_profile_single_core(self, capsys):
-        main(["profile", "--workload", "art-mcf", "--scale", "smoke",
-              "--cores", "fast"])
-        text = capsys.readouterr().out
-        assert "fast" in text
-        assert "speedup" not in text
-
-    def test_unknown_policy_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--workload", "art-mcf", "--policy", "WARP",
-                  "--scale", "smoke"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "WARP" in err
-
-    def test_unknown_workload_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--workload", "quake3", "--scale", "smoke"])
-        assert excinfo.value.code == 2
-        assert "quake3" in capsys.readouterr().err
-
-    def test_unknown_core_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--workload", "art-mcf", "--scale", "smoke",
-                  "--cores", "turbo"])
-        assert excinfo.value.code == 2
-
-
 class TestCoreEnvValidation:
     """A bad REPRO_CORE fails fast with the standard exit-2 error on any
     simulation command, before any cycles run."""
@@ -174,13 +127,6 @@ class TestCoreEnvValidation:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
             assert "REPRO_CORE" in err and repr(bad) in err
-
-    def test_profile_rejects_bad_core(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "turbo")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--workload", "art-mcf", "--scale", "smoke"])
-        assert excinfo.value.code == 2
-        assert "REPRO_CORE" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_core(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CORE", "turbo")
@@ -198,18 +144,6 @@ class TestCoreEnvValidation:
         main(["run", "--workload", "art-mcf", "--policy", "ICOUNT",
               "--scale", "smoke", "--epochs", "2"])
         assert "weighted IPC" in capsys.readouterr().out
-
-    def test_profile_help_lists_core_names(self, capsys):
-        """``repro profile --help`` is where a user discovers the valid
-        REPRO_CORE values, so every core name must appear there."""
-        from repro.pipeline.fastpath import CORE_MODES
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        for core in CORE_MODES:
-            assert core in out
 
 
 class TestSweepSupervisionCLI:

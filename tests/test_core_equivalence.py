@@ -30,7 +30,6 @@ from repro.experiments.runner import (
     run_policy,
 )
 from repro.pipeline.fastpath import CORE_MODES, forced_core
-from repro.pipeline.profile import CoreProfile
 from repro.reliability.faults import (
     FaultInjector,
     MemoryLatencySpike,
@@ -147,35 +146,3 @@ class TestFaultInjectionByteIdentical:
             blobs[core] = _run_blob(workload, None, scale, core,
                                     policy=make_policy, sanitize=True)
         assert blobs["fast"] == blobs["reference"]
-
-
-class TestProfilingIsInert:
-    """Attaching a CoreProfile may never change simulation results."""
-
-    @pytest.mark.parametrize("core", CORE_MODES)
-    def test_profiled_stats_unchanged(self, core, scale):
-        workload = get_workload("art-mcf")
-        states = []
-        for profiled in (False, True):
-            with forced_core(core):
-                proc = make_processor(workload,
-                                      policy_factory("FLUSH", scale)(),
-                                      scale, warm=False)
-                if profiled:
-                    proc.profile = CoreProfile()
-                proc.run(scale.warmup + scale.epoch_size)
-                proc.profile = None
-                states.append(pickle.dumps(
-                    proc, protocol=pickle.HIGHEST_PROTOCOL))
-        assert states[0] == states[1]
-
-    def test_profile_accounts_every_cycle(self, scale):
-        workload = get_workload("art-mcf")
-        with forced_core("fast"):
-            proc = make_processor(workload,
-                                  policy_factory("FLUSH", scale)(),
-                                  scale, warm=False)
-            proc.profile = profile = CoreProfile()
-            proc.run(scale.warmup)
-        assert profile.total_cycles == scale.warmup == proc.stats.cycles
-        assert profile.skipped_cycles > 0  # art-mcf stalls plenty

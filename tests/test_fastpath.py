@@ -14,6 +14,7 @@ from repro.pipeline.fastpath import (
     forced_core,
     quiescent_horizon,
 )
+from repro.pipeline import processor
 from repro.pipeline.processor import SMTProcessor
 from repro.policies.icount import ICountPolicy
 from repro.workloads.mixes import get_workload
@@ -46,8 +47,12 @@ class TestCoreSelection:
 
     def test_unknown_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE", "turbo")
-        with pytest.raises(ValueError, match="REPRO_CORE must be one of"):
+        with pytest.raises(ValueError, match="REPRO_CORE must be one of") \
+                as excinfo:
             core_mode()
+        # The error is where a user discovers the core names.
+        assert "fast" in str(excinfo.value)
+        assert "reference" in str(excinfo.value)
 
     def test_forced_core_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE", "reference")
@@ -174,17 +179,21 @@ class TestQuiescence:
         assert proc.cycle == horizon
         assert proc.stats.cycles == cycles + skipped
 
-    def test_run_skips_blocked_stretch(self):
+    def test_run_skips_blocked_stretch(self, monkeypatch):
         """End-to-end: a fully blocked machine fast-forwards to the
         unblock time instead of grinding cycle by cycle."""
         proc = make_proc()
-        proc.profile = None
         for thread in proc.threads:
             thread.fetch_blocked_until = proc.cycle + 400
-        from repro.pipeline.profile import CoreProfile
+        skipped = []
 
-        proc.profile = profile = CoreProfile()
+        def counting_skip(machine, horizon):
+            skipped.append(apply_skip(machine, horizon))
+            return skipped[-1]
+
+        monkeypatch.setattr(processor, "apply_skip", counting_skip)
+        start = proc.stats.cycles
         with forced_core("fast"):
             proc.run(1000)
-        assert profile.skipped_cycles >= 400
-        assert profile.total_cycles == 1000
+        assert sum(skipped) >= 400
+        assert proc.stats.cycles - start == 1000
