@@ -35,9 +35,3 @@ class BimodalPredictor:
                 self.table[index] = counter + 1
         elif counter > 0:
             self.table[index] = counter - 1
-
-    def snapshot(self):
-        return list(self.table)
-
-    def restore(self, state):
-        self.table = list(state)

@@ -38,11 +38,3 @@ class BranchTargetBuffer:
             victim = min(btb_set, key=lambda key: btb_set[key][1])
             del btb_set[victim]
         btb_set[tag] = (target, self._stamp)
-
-    def snapshot(self):
-        return ([dict(btb_set) for btb_set in self._sets], self._stamp)
-
-    def restore(self, state):
-        sets, stamp = state
-        self._sets = [dict(btb_set) for btb_set in sets]
-        self._stamp = stamp

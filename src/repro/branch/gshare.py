@@ -7,7 +7,7 @@ class GsharePredictor:
     """Global-history predictor with XOR indexing.
 
     The speculative history register is updated at prediction time and is
-    included in snapshots so checkpoint replay is exact.
+    pickled with the processor so checkpoint replay is exact.
     """
 
     def __init__(self, entries=8192):
@@ -47,11 +47,3 @@ class GsharePredictor:
     def shift_history(self, taken):
         """Push the resolved/predicted direction into the history register."""
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
-
-    def snapshot(self):
-        return (list(self.table), self.history)
-
-    def restore(self, state):
-        table, history = state
-        self.table = list(table)
-        self.history = history

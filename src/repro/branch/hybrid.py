@@ -83,20 +83,3 @@ class HybridPredictor:
         if self.lookups == 0:
             return 0.0
         return self.mispredicts / self.lookups
-
-    def snapshot(self):
-        return (
-            self.gshare.snapshot(),
-            self.bimodal.snapshot(),
-            list(self.meta),
-            self.mispredicts,
-            self.lookups,
-        )
-
-    def restore(self, state):
-        gshare, bimodal, meta, mispredicts, lookups = state
-        self.gshare.restore(gshare)
-        self.bimodal.restore(bimodal)
-        self.meta = list(meta)
-        self.mispredicts = mispredicts
-        self.lookups = lookups

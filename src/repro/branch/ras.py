@@ -30,12 +30,3 @@ class ReturnAddressStack:
 
     def __len__(self):
         return self._top
-
-    def snapshot(self):
-        return (list(self._stack), self._top, self._pos)
-
-    def restore(self, state):
-        stack, top, pos = state
-        self._stack = list(stack)
-        self._top = top
-        self._pos = pos

@@ -61,11 +61,10 @@ Commands
 
 All simulation commands accept ``--scale smoke|bench|full`` plus explicit
 ``--epochs`` / ``--epoch-size`` / ``--seed`` overrides.  ``run`` and
-``compare`` additionally accept ``--resilient`` / ``--resume-dir DIR``:
-runs then execute under the reliability guard (watchdog, partition
-sanitizing, retry-from-checkpoint) with crash-safe on-disk state, and
-re-invoking the same command with the same ``--resume-dir`` after an
-interruption completes the sweep with identical metrics.
+``compare`` additionally accept ``--resume-dir DIR``: each run then
+checkpoints every epoch into a subdirectory of DIR named by its cache
+key, and re-invoking the same command after an interruption continues
+from the last completed epoch with identical metrics.
 
 Unknown workload, benchmark, or policy names print a one-line error with
 the valid choices and exit with status 2.
@@ -75,12 +74,7 @@ import argparse
 import sys
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    ExperimentScale,
-    compare_policies,
-    run_policy,
-    solo_ipc,
-)
+from repro.experiments.runner import ExperimentScale, run_policy, solo_ipc
 from repro.workloads.mixes import GROUPS, get_workload, workload_names
 from repro.workloads.spec2000 import PROFILES, get_profile
 
@@ -157,14 +151,10 @@ def _add_scale_args(parser):
     parser.add_argument("--seed", type=int, default=None)
 
 
-def _add_resilience_args(parser):
-    parser.add_argument("--resilient", action="store_true",
-                        help="run under the reliability guard (watchdog, "
-                             "partition sanitizing, retry-from-checkpoint)")
+def _add_resume_arg(parser):
     parser.add_argument("--resume-dir", default=None, metavar="DIR",
                         help="crash-safe run state directory; re-invoking "
-                             "with the same DIR resumes an interrupted "
-                             "sweep (implies --resilient)")
+                             "with the same DIR resumes an interrupted run")
 
 
 def cmd_list_workloads(args):
@@ -202,24 +192,14 @@ def _report_result(result):
     ))
 
 
-def _resilient_requested(args):
-    return args.resilient or args.resume_dir is not None
+def _run(args, workload, name, policy, scale):
+    """One run, checkpointed under ``--resume-dir`` when given."""
+    run_dir = None
+    if args.resume_dir is not None:
+        from repro.experiments.parallel import run_path
 
-
-def _report_reliability(result):
-    report = result.reliability or {}
-    notes = []
-    if report.get("resumed_from") is not None:
-        notes.append("resumed from epoch %d" % report["resumed_from"])
-    if report.get("retries"):
-        notes.append("%d retries" % report["retries"])
-    if report.get("partition_repairs"):
-        notes.append("%d partition repairs" % report["partition_repairs"])
-    faults = sum(report.get("faults_injected", {}).values())
-    if faults:
-        notes.append("%d faults injected" % faults)
-    if notes:
-        print("[resilient] " + ", ".join(notes))
+        run_dir = run_path(args.resume_dir, workload.name, name, scale)
+    return run_policy(workload, policy, scale, run_dir=run_dir)
 
 
 def cmd_run(args):
@@ -228,106 +208,35 @@ def cmd_run(args):
     policy = _policy_factory(args.policy, scale)()
     print("running %s under %s (%d epochs x %d cycles)..."
           % (workload.name, policy.name, scale.epochs, scale.epoch_size))
-    if _resilient_requested(args):
-        from repro.experiments.parallel import run_path
-        from repro.reliability.guard import run_policy_resilient
-
-        run_dir = None
-        if args.resume_dir is not None:
-            run_dir = run_path(args.resume_dir, workload.name, args.policy,
-                               scale)
-        result = run_policy_resilient(workload, policy, scale,
-                                      run_dir=run_dir, resume=True,
-                                      log=lambda msg: print("[resilient] %s"
-                                                            % msg))
-        _report_reliability(result)
-    else:
-        result = run_policy(workload, policy, scale)
-    _report_result(result)
+    _report_result(_run(args, workload, args.policy, policy, scale))
 
 
 def cmd_compare(args):
+    import statistics
+
     scale = _scale_from(args)
     workload = _get_workload_checked(args.workload)
     factories = {
         name: _policy_factory(name, scale) for name in args.policies
     }
     print("comparing %s on %s..." % (", ".join(factories), workload.name))
-    if _resilient_requested(args):
-        return _compare_resilient(args, scale, workload, factories)
-    if len(args.seeds) > 1:
-        from repro.experiments.runner import run_policy_multi
-
-        rows = []
-        for name, factory in factories.items():
-            __, summary = run_policy_multi(workload, factory, scale,
-                                           seeds=args.seeds)
+    seeds = args.seeds if len(args.seeds) > 1 else [scale.seed]
+    rows = []
+    for name, factory in factories.items():
+        results = [_run(args, workload, name, factory(),
+                        scale.with_overrides(seed=seed)) for seed in seeds]
+        values = [[result.avg_ipc, result.weighted_ipc,
+                   result.harmonic_weighted_ipc] for result in results]
+        if len(values) == 1:
+            rows.append([name] + values[0])
+        else:
             rows.append([name] + [
-                "%.3f +/- %.3f" % summary[metric]
-                for metric in ("avg_ipc", "weighted_ipc",
-                               "harmonic_weighted_ipc")
-            ])
-        print(format_table(
-            ["policy", "avg IPC", "weighted IPC", "harmonic weighted IPC"],
-            rows,
-        ))
-        return
-    results = compare_policies(workload, factories, scale)
+                "%.3f +/- %.3f" % (statistics.mean(column),
+                                   statistics.pstdev(column))
+                for column in zip(*values)])
     print(format_table(
         ["policy", "avg IPC", "weighted IPC", "harmonic weighted IPC"],
-        [[name, result.avg_ipc, result.weighted_ipc,
-          result.harmonic_weighted_ipc]
-         for name, result in results.items()],
-    ))
-
-
-def _compare_resilient(args, scale, workload, factories):
-    """``compare --resilient``: one resumable run directory per
-    (workload, policy, seed); killed sweeps continue where they died."""
-    import statistics
-    import tempfile
-
-    from repro.reliability.guard import compare_policies_resilient
-
-    resume_dir = args.resume_dir
-    if resume_dir is None:
-        resume_dir = tempfile.mkdtemp(prefix="repro-resilient-")
-        print("[resilient] no --resume-dir given; state in %s" % resume_dir)
-    log = lambda msg: print("[resilient] %s" % msg)
-    if len(args.seeds) > 1:
-        rows = []
-        for name, factory in factories.items():
-            values = {"avg_ipc": [], "weighted_ipc": [],
-                      "harmonic_weighted_ipc": []}
-            for seed in args.seeds:
-                seeded = scale.with_overrides(seed=seed)
-                result = compare_policies_resilient(
-                    workload, {name: factory}, seeded, resume_dir,
-                    log=log)[name]
-                values["avg_ipc"].append(result.avg_ipc)
-                values["weighted_ipc"].append(result.weighted_ipc)
-                values["harmonic_weighted_ipc"].append(
-                    result.harmonic_weighted_ipc)
-            rows.append([name] + [
-                "%.3f +/- %.3f" % (statistics.mean(values[metric]),
-                                   statistics.pstdev(values[metric]))
-                for metric in ("avg_ipc", "weighted_ipc",
-                               "harmonic_weighted_ipc")
-            ])
-        print(format_table(
-            ["policy", "avg IPC", "weighted IPC", "harmonic weighted IPC"],
-            rows,
-        ))
-        return
-    results = compare_policies_resilient(workload, factories, scale,
-                                         resume_dir, log=log)
-    for result in results.values():
-        _report_reliability(result)
-    print(format_table(
-        ["policy", "avg IPC", "weighted IPC", "harmonic weighted IPC"],
-        [[name, result.avg_ipc, result.weighted_ipc,
-          result.harmonic_weighted_ipc]
-         for name, result in results.items()],
+        rows,
     ))
 
 
@@ -789,7 +698,7 @@ def build_parser():
     sub.add_argument("--workload", required=True)
     sub.add_argument("--policy", default="HILL")
     _add_scale_args(sub)
-    _add_resilience_args(sub)
+    _add_resume_arg(sub)
     sub.set_defaults(func=cmd_run)
 
     sub = commands.add_parser("compare", help="several policies side by side")
@@ -800,7 +709,7 @@ def build_parser():
                      help="evaluate across several seeds (reports mean "
                           "+/- stdev)")
     _add_scale_args(sub)
-    _add_resilience_args(sub)
+    _add_resume_arg(sub)
     sub.set_defaults(func=cmd_compare)
 
     sub = commands.add_parser("solo", help="stand-alone IPC of a benchmark")

@@ -12,10 +12,10 @@ a content-addressed on-disk cache, so that
   whose cache keys changed (the key includes a per-policy code
   fingerprint — see :func:`cache_key`);
 * a killed sweep resumes: completed cells return from the cache, and with
-  a ``resume_dir`` each in-flight cell checkpoints per epoch through
-  :func:`repro.reliability.guard.run_policy_resilient` into a directory
-  named by its cache key (:func:`cell_path`) and continues from its last
-  good epoch;
+  a ``resume_dir`` each in-flight cell checkpoints per epoch
+  (:func:`~repro.experiments.runner.run_policy` with a ``run_dir``) into
+  a directory named by its cache key (:func:`cell_path`) and continues
+  from its last completed epoch;
 * merged results are deterministic — cell order follows the *request*
   order, never completion order, so ``jobs=4`` produces byte-identical
   JSON to ``jobs=1`` (:func:`merged_json`);
@@ -37,9 +37,11 @@ offenders into a ``quarantine.jsonl`` ledger, graceful degrade to
 in-process serial execution (``repro sweep`` enables this by default;
 see docs/RELIABILITY.md "Sweep supervision").  Without one it runs
 under :data:`~repro.reliability.supervisor.FAIL_FAST`: one attempt, and
-the first failed cell raises.  Supervision never changes *what* a
-result is — a fault-free supervised sweep is byte-identical to a
-fail-fast one, a contract the ``repro chaos`` harness enforces.
+the first failed cell raises.  Every cell runs the same epoch loop
+whatever the flags, and the supervisor is the only layer that retries
+one, so supervision never changes *what* a result is — a fault-free
+supervised sweep is byte-identical to a fail-fast one, a contract the
+``repro chaos`` harness enforces.
 
 The cache directory defaults to ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro-sweeps``; ``python -m repro cache info|clear`` inspects
@@ -212,11 +214,11 @@ _FAMILY_ENTRIES = {
 }
 
 #: Source files every cell depends on, relative to the ``repro`` package:
-#: the simulator substrate, the run machinery (including the reliability
-#: guard the resumable path executes under), the policy registry and the
-#: default fetch policy (ICOUNT drives both default fetch priority and
-#: SingleIPC runs).  Package ``__init__`` files are hashed because
-#: importing any closure module executes them.
+#: the simulator substrate, the run machinery (including its on-disk run
+#: state), the supervisor, the policy registry and the default fetch
+#: policy (ICOUNT drives both default fetch priority and SingleIPC runs).
+#: Package ``__init__`` files are hashed because importing any closure
+#: module executes them.
 _CORE_SOURCES = (
     # Directory entries hash every .py under them, so the fast core's
     # quiescence module (pipeline/fastpath.py) is covered by "pipeline" —
@@ -229,7 +231,6 @@ _CORE_SOURCES = (
     "policies/base.py", "policies/icount.py",
     "experiments/runner.py", "experiments/parallel.py",
     "experiments/export.py",
-    "reliability/guard.py", "reliability/invariants.py",
     "reliability/supervisor.py",
 )
 
@@ -732,19 +733,20 @@ def _execute_cell(cell, scale, run_dir, heartbeat_path=None, attempt=1,
                   fault_plan=None, solos=None):
     """Simulate one cell (runs inside a worker process).
 
-    With ``run_dir`` (the cell's :func:`cell_path` under a resume dir)
-    the run goes through the resilient runner: per-epoch crash-safe
-    checkpoints there, so a killed sweep continues mid-cell.  The
-    attached ``reliability`` report is dropped before caching — it
-    describes the *execution* (retries, resume point), not the result,
-    and would break the determinism contract between fresh, resumed and
-    cached runs.
+    Every cell runs :func:`run_policy`, looked up by its name in this
+    module.  With ``run_dir`` (the cell's :func:`cell_path` under a
+    resume dir) it keeps per-epoch crash-safe checkpoints there, so a
+    killed sweep, or the supervisor's next attempt, continues mid-cell;
+    ``resumed`` in the returned ``(result, resumed)`` says whether an
+    earlier attempt had already created that directory.
 
     The supervisor passes the 1-based ``attempt`` number, with a
     ``cell_timeout`` a ``heartbeat_path`` (touched once per completed
-    epoch through the guard's ``on_epoch`` hook, so the parent can tell
-    slow from hung), and optionally a chaos ``fault_plan`` (picklable; see
-    :mod:`repro.reliability.chaos`) whose hooks perturb this attempt.
+    epoch through ``run_policy``'s ``on_epoch`` hook, so the parent can
+    tell slow from hung), and optionally a chaos ``fault_plan``
+    (picklable; see :mod:`repro.reliability.chaos`) whose hooks perturb
+    this attempt.  Nothing in here retries: a failure is one attempt,
+    which the supervisor (or the service's lease) charges and retries.
     Failures raised while *constructing* the cell — unknown workload or
     policy, a broken registry inside the child — are wrapped in
     :class:`~repro.reliability.supervisor.CellBootstrapError`: they are
@@ -778,18 +780,9 @@ def _execute_cell(cell, scale, run_dir, heartbeat_path=None, attempt=1,
                                                           epoch_id))
     on_epoch = (None if not hooks
                 else lambda epoch_id: [hook(epoch_id) for hook in hooks])
-    if run_dir is not None or on_epoch is not None:
-        from repro.reliability.guard import run_policy_resilient
-
-        result = run_policy_resilient(
-            workload, policy, seeded, epochs=cell.epochs, run_dir=run_dir,
-            resume=True, sanitize_partitions=False, on_epoch=on_epoch)
-        resumed = bool(result.reliability
-                       and result.reliability.get("resumed_from") is not None)
-        result.reliability = None
-    else:
-        result = run_policy(workload, policy, seeded, epochs=cell.epochs)
-        resumed = False
+    resumed = run_dir is not None and os.path.isdir(run_dir)
+    result = run_policy(workload, policy, seeded, epochs=cell.epochs,
+                        run_dir=run_dir, on_epoch=on_epoch)
     if fault_plan is not None:
         result = fault_plan.transform_result(cell, attempt, result)
     return result, resumed

@@ -9,8 +9,17 @@ scale fields the run depends on (config, epoch size, epoch count,
 warmup, seed).  Sweeps persist the same values across processes in the
 result cache (:func:`repro.experiments.parallel.solo_key`) and seed this
 LRU through :func:`remember_solo` before a cell runs.
+
+:func:`run_policy` is the one epoch loop.  Given a ``run_dir`` it keeps
+crash-safe per-epoch state there (:class:`RunStore`): because everything
+a run depends on lives inside the pickled controller (stream RNGs
+included), a killed run picks up at its last checkpoint and produces
+exactly the metrics of an uninterrupted one at the same seed.
 """
 
+import json
+import os
+import pickle
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -122,9 +131,9 @@ class RunResult:
     cycles: int
     single_ipcs: list = None
     epoch_history: list = field(default_factory=list)
-    #: Optional reliability report attached by
-    #: :func:`repro.reliability.guard.run_policy_resilient` (retries,
-    #: repairs, faults injected, resume point).
+    #: Partition repairs and faults injected, for a run with an
+    #: ``injector`` or ``sanitize_partitions`` (``repro verify``); None
+    #: for every other run, so cached sweep results never carry one.
     reliability: dict = None
 
     def to_dict(self):
@@ -309,32 +318,199 @@ def make_processor(workload, policy, scale, warm=True):
     return proc
 
 
+class RunStore:
+    """Crash-safe on-disk state of one run.
+
+    Layout of ``run_dir``::
+
+        ckpt_NNNNNN.pkl   controller snapshot after NNNNNN completed epochs
+                          (only the two most recent are kept)
+        manifest.jsonl    append-only log: one record per completed epoch
+        result.json       final RunResult (present only when complete)
+
+    All non-append writes go through write-to-temp + ``os.replace`` so a
+    kill mid-write can never corrupt the latest good state.
+    """
+
+    def __init__(self, run_dir):
+        self.run_dir = run_dir
+        os.makedirs(run_dir, exist_ok=True)
+        self.manifest_path = os.path.join(run_dir, "manifest.jsonl")
+        self.result_path = os.path.join(run_dir, "result.json")
+
+    def _write_atomic(self, path, data, mode="wb"):
+        tmp = path + ".tmp"
+        with open(tmp, mode) as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+
+    def _checkpoint_files(self):
+        found = []
+        for name in os.listdir(self.run_dir):
+            if name.startswith("ckpt_") and name.endswith(".pkl"):
+                try:
+                    found.append((int(name[5:-4]), name))
+                except ValueError:
+                    continue
+        return sorted(found)
+
+    def save_checkpoint(self, epochs_done, blob, keep=2):
+        self._write_atomic(os.path.join(
+            self.run_dir, "ckpt_%06d.pkl" % epochs_done), blob)
+        for __, name in self._checkpoint_files()[:-keep]:
+            try:
+                os.remove(os.path.join(self.run_dir, name))
+            except OSError:
+                pass
+
+    def latest_checkpoint(self):
+        """(epochs_done, blob) of the newest readable checkpoint, or None.
+
+        Falls back to the previous checkpoint when the newest is
+        unreadable (e.g. the process died mid-write on a filesystem
+        without atomic rename).
+        """
+        for epochs_done, name in reversed(self._checkpoint_files()):
+            path = os.path.join(self.run_dir, name)
+            try:
+                with open(path, "rb") as handle:
+                    blob = handle.read()
+                pickle.loads(blob)  # readability probe
+            except Exception:
+                continue
+            return epochs_done, blob
+        return None
+
+    def append_manifest(self, record):
+        with open(self.manifest_path, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+
+    def manifest_records(self):
+        if not os.path.exists(self.manifest_path):
+            return []
+        records = []
+        with open(self.manifest_path) as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except ValueError:
+                    continue  # torn final line from a kill mid-append
+        return records
+
+    def save_result(self, result):
+        payload = json.dumps(result.to_dict(), indent=1)
+        self._write_atomic(self.result_path, payload, mode="w")
+
+    def load_result(self):
+        if not os.path.exists(self.result_path):
+            return None
+        try:
+            with open(self.result_path) as handle:
+                return RunResult.from_dict(json.load(handle))
+        except Exception:
+            return None
+
+
+def _snapshot_controller(controller):
+    """Serialize everything a resumed run needs: the processor (policy and
+    stream RNGs included) plus the controller's accounting."""
+    return pickle.dumps({
+        "proc": controller.proc,
+        "epoch_id": controller.epoch_id,
+        "history": controller.history,
+        "start_stats": controller._start_stats,
+        "repairs": controller.repairs,
+    }, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _restore_controller(blob, epoch_size, **options):
+    state = pickle.loads(blob)
+    controller = EpochController(state["proc"], epoch_size=epoch_size,
+                                 **options)
+    controller.epoch_id = state["epoch_id"]
+    controller.history = state["history"]
+    controller._start_stats = state["start_stats"]
+    controller.repairs = state["repairs"]
+    return controller
+
+
 def run_policy(workload, policy, scale, epochs=None, checker=None,
-               injector=None, sanitize_partitions=False):
+               injector=None, sanitize_partitions=False, run_dir=None,
+               on_epoch=None):
     """Run one policy over a workload for the scaled window.
 
     Returns a :class:`RunResult` with SingleIPCs attached so every metric
     of Section 3.1.1 can be evaluated on it.  ``checker`` / ``injector`` /
     ``sanitize_partitions`` pass straight through to the
     :class:`~repro.core.controller.EpochController` (see
-    :mod:`repro.reliability`); the guarded, resumable variant is
-    :func:`repro.reliability.guard.run_policy_resilient`.
+    :mod:`repro.reliability`).
+
+    With a ``run_dir`` the run checkpoints the whole controller after
+    every epoch (:class:`RunStore`).  A later call with the same
+    ``run_dir`` returns the stored ``result.json`` of a finished run, or
+    continues from the newest readable checkpoint; ``policy`` is then
+    unused, because the checkpointed one (with its learned state) takes
+    over.  ``on_epoch``, if given, is called with the number of completed
+    epochs after each epoch's writes (the sweep's heartbeat and chaos
+    hook).  Nothing here retries: an exception ends the run, and a
+    resumed call continues from the last completed epoch.
     """
-    proc = make_processor(workload, policy, scale)
-    controller = EpochController(proc, epoch_size=scale.epoch_size,
-                                 checker=checker, injector=injector,
-                                 sanitize_partitions=sanitize_partitions)
-    controller.run(epochs if epochs is not None else scale.epochs)
+    target = scale.epochs if epochs is None else epochs
+    options = dict(checker=checker, injector=injector,
+                   sanitize_partitions=sanitize_partitions)
+    store = None if run_dir is None else RunStore(run_dir)
+    found = None
+    if store is not None:
+        finished = store.load_result()
+        if finished is not None:
+            return finished
+        found = store.latest_checkpoint()
+    if found is not None:
+        controller = _restore_controller(found[1], scale.epoch_size,
+                                         **options)
+    else:
+        controller = EpochController(make_processor(workload, policy, scale),
+                                     epoch_size=scale.epoch_size, **options)
+        if store is not None:
+            store.save_checkpoint(0, _snapshot_controller(controller))
+    while controller.epoch_id < target:
+        epoch = controller.run_epoch()
+        if store is not None:
+            store.save_checkpoint(controller.epoch_id,
+                                  _snapshot_controller(controller))
+            store.append_manifest({
+                "epoch_id": epoch.epoch_id,
+                "kind": epoch.kind,
+                "committed": list(epoch.committed),
+                "cycles": epoch.cycles,
+                "ipcs": list(epoch.ipcs),
+                "shares": epoch.shares,
+                "solo_thread": epoch.solo_thread,
+            })
+        if on_epoch is not None:
+            on_epoch(controller.epoch_id)
     committed, cycles = controller.totals()
-    return RunResult(
+    result = RunResult(
         workload=workload.name,
-        policy=policy.name,
+        policy=controller.proc.policy.name,
         ipcs=controller.overall_ipcs(),
         committed=committed,
         cycles=cycles,
         single_ipcs=solo_ipcs(workload, scale),
         epoch_history=controller.history,
+        reliability=None if injector is None and not sanitize_partitions
+        else {"partition_repairs": len(controller.repairs),
+              "faults_injected": ({} if injector is None
+                                  else injector.summary())},
     )
+    if store is not None:
+        store.save_result(result)
+    return result
 
 
 def run_policy_multi(workload, policy_factory, scale, seeds=(0, 1, 2),

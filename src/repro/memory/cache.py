@@ -1,8 +1,9 @@
 """A set-associative cache with true-LRU replacement.
 
 This is a functional (hit/miss) model: it tracks tag state only, not data.
-It is deterministic and snapshottable, which the OFF-LINE learner relies on
-to replay an epoch from a checkpoint bit-identically.
+It is deterministic and its whole state pickles with the processor, which
+the OFF-LINE learner relies on to replay an epoch from a checkpoint
+bit-identically.
 """
 
 from dataclasses import dataclass, field
@@ -126,23 +127,3 @@ class Cache:
         """Invalidate every line (stats are preserved)."""
         for cache_set in self._sets:
             cache_set.clear()
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot(self):
-        """Capture tag state + stats for later :meth:`restore`."""
-        return (
-            [{tag: list(entry) for tag, entry in cache_set.items()}
-             for cache_set in self._sets],
-            self._stamp,
-            self.stats.copy(),
-        )
-
-    def restore(self, state):
-        sets, stamp, stats = state
-        self._sets = [
-            {tag: list(entry) for tag, entry in cache_set.items()}
-            for cache_set in sets
-        ]
-        self._stamp = stamp
-        self.stats = stats.copy()

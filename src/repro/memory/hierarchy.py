@@ -77,14 +77,3 @@ class MemoryHierarchy:
     def ifetch(self, addr, now=0):
         """Instruction fetch through IL1 -> UL2 -> memory."""
         return self._access(self.il1, addr, now)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot(self):
-        return (self.il1.snapshot(), self.dl1.snapshot(), self.ul2.snapshot())
-
-    def restore(self, state):
-        il1, dl1, ul2 = state
-        self.il1.restore(il1)
-        self.dl1.restore(dl1)
-        self.ul2.restore(ul2)

@@ -172,21 +172,6 @@ class PartitionRegisters:
         self.repair_count = getattr(self, "repair_count", 0) + 1
         return problem
 
-    def snapshot(self):
-        return (
-            None if self.shares is None else list(self.shares),
-            list(self.limit_int_rename),
-            list(self.limit_int_iq),
-            list(self.limit_rob),
-        )
-
-    def restore(self, state):
-        shares, int_rename, int_iq, rob = state
-        self.shares = None if shares is None else list(shares)
-        self.limit_int_rename = list(int_rename)
-        self.limit_int_iq = list(int_iq)
-        self.limit_rob = list(rob)
-
 
 def sanitize_shares(shares, total, minimum, num_threads):
     """Coerce an arbitrary (possibly garbage) share vector into a legal one.

@@ -1,5 +1,5 @@
-"""Reliability subsystem: invariant checking, fault injection, and
-guarded/resumable execution.
+"""Reliability subsystem: invariant checking, fault injection, sweep
+supervision, chaos and the verify suite.
 
 See ``docs/RELIABILITY.md`` for the full story; the short version:
 
@@ -10,9 +10,6 @@ See ``docs/RELIABILITY.md`` for the full story; the short version:
 * :mod:`repro.reliability.faults` — composable fault models perturbing
   the learning loop (memory-latency bursts, transient fetch stalls, RNG
   desync, partition-register corruption, misbehaving policies).
-* :mod:`repro.reliability.guard` — :func:`run_policy_resilient` wraps a
-  run with budgets, a zero-commit watchdog, retry-from-last-good-epoch,
-  and crash-safe on-disk checkpoints with ``--resume`` semantics.
 * :mod:`repro.reliability.supervisor` — cell-level containment for
   parallel sweeps: heartbeat timeouts, retry with deterministic backoff,
   pool rebuild after ``BrokenProcessPool``, a ``quarantine.jsonl``
@@ -36,17 +33,6 @@ from repro.reliability.faults import (
     RNGDesync,
     TransientFetchStall,
 )
-from repro.reliability.guard import (
-    BudgetExceeded,
-    LivelockDetected,
-    ReliabilityError,
-    RunBudget,
-    RunInterrupted,
-    RunStore,
-    Watchdog,
-    compare_policies_resilient,
-    run_policy_resilient,
-)
 from repro.reliability.invariants import InvariantChecker, InvariantViolation
 from repro.reliability.supervisor import (
     CellBootstrapError,
@@ -61,7 +47,6 @@ from repro.reliability.chaos import CHAOS_PRESETS, ChaosPlan, run_chaos
 from repro.reliability.verify import run_verification
 
 __all__ = [
-    "BudgetExceeded",
     "CHAOS_PRESETS",
     "CellBootstrapError",
     "CellResultError",
@@ -71,23 +56,15 @@ __all__ = [
     "FaultInjector",
     "InvariantChecker",
     "InvariantViolation",
-    "LivelockDetected",
     "MemoryLatencySpike",
     "MisbehavingPolicy",
     "PartitionScramble",
     "QuarantineLedger",
     "RNGDesync",
-    "ReliabilityError",
-    "RunBudget",
-    "RunInterrupted",
-    "RunStore",
     "Supervision",
     "SupervisorError",
     "SweepAborted",
     "TransientFetchStall",
-    "Watchdog",
-    "compare_policies_resilient",
     "run_chaos",
-    "run_policy_resilient",
     "run_verification",
 ]

@@ -2,12 +2,14 @@
 
 Every cell :class:`~repro.experiments.parallel.SweepEngine` cannot serve
 from its cache runs through :class:`CellSupervisor` — in process at
-``jobs=1``, over a process pool otherwise.  It is the cell-level
-analogue of the epoch-level guard (:mod:`repro.reliability.guard`):
+``jobs=1``, over a process pool otherwise.  It is the only layer of a
+local sweep that retries a cell; each failure is charged as one attempt
+and reported (``cell-retry``, or ``cell-quarantined`` once attempts run
+out):
 
 * **heartbeat timeouts** — each supervised cell touches a per-cell
   heartbeat file every completed epoch (the ``on_epoch`` hook of
-  :func:`~repro.reliability.guard.run_policy_resilient`); a cell whose
+  :func:`~repro.experiments.runner.run_policy`); a cell whose
   heartbeat goes stale for longer than ``cell_timeout`` seconds is
   declared hung, distinguishing slow-but-alive cells from dead ones;
 * **retry with deterministic backoff** — failed/timed-out cells are
@@ -35,8 +37,9 @@ modules from here would widen every cell's fingerprint.  All policy about
 *what* a cell is lives in the callbacks the engine provides.
 
 Determinism note: supervision changes how results are *produced*, never
-what they are — retries resume from checkpoints, completed cells are
-validated then cached the same way on every path, and a fault-free
+what they are — a retry starts the cell over, or resumes it from its
+last checkpoint under a resume dir, which gives the same bytes; completed
+cells are validated then cached the same way on every path, and a fault-free
 supervised sweep is byte-identical to a fail-fast one (proved by
 ``repro chaos``; see docs/RELIABILITY.md "Sweep supervision").
 """

@@ -9,11 +9,11 @@ Two sections, both scaled by the usual
    :class:`~repro.reliability.invariants.InvariantViolation` here is a
    simulator bug: the suite fails.
 2. **Fault matrix** — run HILL under each fault model (and all of them
-   combined) inside the resilient guard.  Every scenario must end in one
-   of two acceptable states: *tolerated* (the run completed, with the
-   degradation vs. the clean run logged) or *reported* (a structured
-   :class:`~repro.reliability.guard.ReliabilityError` /
-   ``InvariantViolation``).  An unhandled traceback fails the suite.
+   combined) with partition sanitizing and every invariant enabled.
+   Every scenario must end in one of two acceptable states: *tolerated*
+   (the run completed, with the degradation vs. the clean run logged) or
+   *reported* (a structured ``InvariantViolation``).  Any other
+   exception fails the suite.
 
 :func:`run_verification` returns a process exit code (0 pass, 1 fail).
 """
@@ -32,7 +32,6 @@ from repro.reliability.faults import (
     RNGDesync,
     TransientFetchStall,
 )
-from repro.reliability.guard import ReliabilityError, run_policy_resilient
 from repro.reliability.invariants import InvariantChecker, InvariantViolation
 from repro.workloads.mixes import get_workload
 
@@ -94,7 +93,7 @@ def run_verification(scale, workload_name=DEFAULT_WORKLOAD, out=print,
                           checker.fidelity_checks_run))
 
     out("")
-    out("fault matrix: HILL under the guard (sanitize + watchdog + retry)")
+    out("fault matrix: HILL with partition sanitizing and invariant checks")
     hill_factory = factories["HILL"]
     for index, (scenario, (faults, wrap)) in enumerate(
             _fault_scenarios().items()):
@@ -105,10 +104,10 @@ def run_verification(scale, workload_name=DEFAULT_WORKLOAD, out=print,
             if faults else None
         checker = InvariantChecker(fidelity_period=fidelity_period)
         try:
-            result = run_policy_resilient(
+            result = run_policy(
                 workload, policy, scale, injector=injector, checker=checker,
-                sanitize_partitions=True, max_retries=2, livelock_epochs=4)
-        except (ReliabilityError, InvariantViolation) as exc:
+                sanitize_partitions=True)
+        except InvariantViolation as exc:
             out("  REPORTED   %-22s %s: %s"
                 % (scenario, type(exc).__name__, exc))
             continue
@@ -118,18 +117,17 @@ def run_verification(scale, workload_name=DEFAULT_WORKLOAD, out=print,
             out("  FAIL       %-22s unhandled exception:\n%s"
                 % (scenario, traceback.format_exc()))
             continue
-        report = result.reliability or {}
-        injected = sum(report.get("faults_injected", {}).values())
+        report = result.reliability
+        injected = sum(report["faults_injected"].values())
         if wrap:
             injected += policy.corruptions
         degradation = ""
         if clean_hill_ipc:
             degradation = ", %+.1f%% vs clean" % (
                 100.0 * (result.avg_ipc - clean_hill_ipc) / clean_hill_ipc)
-        out("  TOLERATED  %-22s avg IPC %.3f%s  (%d faults, %d repairs, "
-            "%d retries)" % (scenario, result.avg_ipc, degradation,
-                             injected, report.get("partition_repairs", 0),
-                             report.get("retries", 0)))
+        out("  TOLERATED  %-22s avg IPC %.3f%s  (%d faults, %d repairs)"
+            % (scenario, result.avg_ipc, degradation, injected,
+               report["partition_repairs"]))
 
     out("")
     if failures:

@@ -6,10 +6,11 @@ dependence, branch and memory-address annotations.  The pipeline executes
 these exactly as a trace-driven simulator executes a real trace.
 
 Determinism and checkpointing: all randomness comes from one
-``random.Random`` seeded from (profile name, thread id, seed), and
-``snapshot``/``restore`` capture the generator state, so the OFF-LINE
-learner can replay an epoch from a checkpoint and observe the identical
-instruction stream.
+``random.Random`` seeded from (profile name, thread id, seed) and lives
+on the stream object, so pickling the processor
+(:class:`~repro.pipeline.checkpoint.Checkpoint`) captures the generator
+state and the OFF-LINE learner can replay an epoch from a checkpoint and
+observe the identical instruction stream.
 """
 
 import random
@@ -373,23 +374,3 @@ class SyntheticStream:
         instruction = Instruction(self.thread_id, seq, op, is_fp, srcs, pc, taken, addr)
         self.seq += 1
         return instruction
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot(self):
-        return (self.rng.getstate(), self.seq, self._burst_remaining,
-                self._burst_cooldown, self._last_trigger_seq,
-                self._call_depth, self._far_debt, self._l2_debt)
-
-    def restore(self, state):
-        (rng_state, seq, burst, cooldown, trigger, depth, far_debt,
-         l2_debt) = state
-        self.rng.setstate(rng_state)
-        self.seq = seq
-        self._burst_remaining = burst
-        self._burst_cooldown = cooldown
-        self._last_trigger_seq = trigger
-        self._call_depth = depth
-        self._far_debt = far_debt
-        self._l2_debt = l2_debt
-        self._params_expiry = -1  # re-derive phase params at the new seq

@@ -108,11 +108,3 @@ class TraceStream:
         )
         self.seq += 1
         return instr
-
-    # -- checkpointing (stream interface) --------------------------------
-
-    def snapshot(self):
-        return self.seq
-
-    def restore(self, state):
-        self.seq = state

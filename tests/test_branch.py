@@ -1,5 +1,11 @@
-"""Unit tests for the branch-prediction substrate."""
+"""Unit tests for the branch-prediction substrate.
 
+A processor checkpoint (``pipeline.checkpoint``, a run's ``ckpt_*.pkl``)
+is a pickle of the whole machine, so each ``test_snapshot_roundtrip``
+pins that one predictor survives a pickle round-trip with its state.
+"""
+
+import pickle
 import random
 
 import pytest
@@ -44,10 +50,11 @@ class TestBimodal:
     def test_snapshot_roundtrip(self):
         predictor = BimodalPredictor(64)
         predictor.update(8, False)
-        state = predictor.snapshot()
+        expected = list(predictor.table)
+        state = pickle.dumps(predictor)
         predictor.update(8, True)
-        predictor.restore(state)
-        assert predictor.table == list(state)
+        predictor = pickle.loads(state)
+        assert predictor.table == expected
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
@@ -96,10 +103,11 @@ class TestGshare:
         predictor = GsharePredictor(64)
         predictor.update(0, False)
         predictor.shift_history(True)
-        state = predictor.snapshot()
+        expected = (list(predictor.table), predictor.history)
+        state = pickle.dumps(predictor)
         predictor.shift_history(True)
-        predictor.restore(state)
-        assert predictor.history == state[1]
+        predictor = pickle.loads(state)
+        assert (predictor.table, predictor.history) == expected
 
 
 class TestHybrid:
@@ -149,12 +157,13 @@ class TestHybrid:
         predictor = HybridPredictor(64, 64, 64)
         token = predictor.predict(0)
         predictor.update(0, True, token)
-        state = predictor.snapshot()
+        meta = list(predictor.meta)
+        state = pickle.dumps(predictor)
         token = predictor.predict(8)
         predictor.update(8, False, token)
-        predictor.restore(state)
+        predictor = pickle.loads(state)
         assert predictor.lookups == 1
-        assert predictor.meta == list(state[2])
+        assert predictor.meta == meta
 
 
 class TestBTB:
@@ -188,9 +197,9 @@ class TestBTB:
     def test_snapshot_roundtrip(self):
         btb = BranchTargetBuffer(64, 4)
         btb.insert(0, 1)
-        state = btb.snapshot()
+        state = pickle.dumps(btb)
         btb.insert(4, 2)
-        btb.restore(state)
+        btb = pickle.loads(state)
         assert btb.lookup(4) is None
         assert btb.lookup(0) == 1
 
@@ -228,9 +237,9 @@ class TestRAS:
     def test_snapshot_roundtrip(self):
         ras = ReturnAddressStack(4)
         ras.push(1)
-        state = ras.snapshot()
+        state = pickle.dumps(ras)
         ras.pop()
-        ras.restore(state)
+        ras = pickle.loads(state)
         assert ras.pop() == 1
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the set-associative cache substrate."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,33 +127,35 @@ class TestStats:
 
 
 class TestSnapshot:
+    """A checkpoint pickles the whole machine; a cache's part of it is
+    its own pickle round-trip."""
+
     def test_roundtrip_preserves_contents(self):
         cache = make_cache()
         for addr in (0, 64, 512):
             cache.access(addr)
-        state = cache.snapshot()
+        state = pickle.dumps(cache)
         cache.access(4096)
         cache.flush()
-        cache.restore(state)
+        cache = pickle.loads(state)
         assert cache.probe(0) and cache.probe(64) and cache.probe(512)
 
     def test_roundtrip_preserves_stats(self):
         cache = make_cache()
         cache.access(0)
         cache.access(0)
-        state = cache.snapshot()
+        state = pickle.dumps(cache)
         cache.access(64)
-        cache.restore(state)
+        cache = pickle.loads(state)
         assert cache.stats.accesses == 2
         assert cache.stats.misses == 1
 
     def test_snapshot_isolated_from_later_accesses(self):
         cache = make_cache()
         cache.access(0)
-        state = cache.snapshot()
+        state = pickle.dumps(cache)
         cache.access(12345 * 64)
-        restored = make_cache()
-        restored.restore(state)
+        restored = pickle.loads(state)
         assert restored.probe(12345 * 64) is False
 
     def test_replay_determinism(self):
@@ -159,9 +163,9 @@ class TestSnapshot:
         addrs = [i * 64 * 3 % 4096 for i in range(40)]
         for addr in addrs[:20]:
             cache.access(addr)
-        state = cache.snapshot()
+        state = pickle.dumps(cache)
         first = [cache.access(addr)[0] for addr in addrs[20:]]
-        cache.restore(state)
+        cache = pickle.loads(state)
         second = [cache.access(addr)[0] for addr in addrs[20:]]
         assert first == second
 

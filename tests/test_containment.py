@@ -101,7 +101,7 @@ class ContainmentMachine(RuleBasedStateMachine):
         self.events.append(("succeed", key, None))
 
     @rule(key=st.sampled_from(KEYS))
-    def snapshot_restore(self, key):
+    def save_and_restore(self, key):
         # The daemon snapshots unresolved tasks only, through JSON.
         if key in self.state:
             return
@@ -200,10 +200,10 @@ def tmpdir_env(tmp_path, monkeypatch):
 _real_run_policy = parallel.run_policy
 
 
-def _run_policy_failing_art_mcf(workload, policy, scale, epochs=None):
+def _run_policy_failing_art_mcf(workload, policy, scale, **options):
     if workload.name == "art-mcf":
         raise RuntimeError("injected simulator fault")
-    return _real_run_policy(workload, policy, scale, epochs=epochs)
+    return _real_run_policy(workload, policy, scale, **options)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -38,14 +38,26 @@ DOC_FILES = ("README.md", "EXPERIMENTS.md", "docs/PARALLEL.md",
              "docs/RELIABILITY.md", "docs/ANALYSIS.md", "docs/SERVICE.md",
              "docs/PERFORMANCE.md")
 
-Snippet = namedtuple("Snippet", "name lineno info body")
+Snippet = namedtuple("Snippet", "name lineno info body anchor")
+
+
+def _slug(heading):
+    """GitHub's anchor for a Markdown heading: lower case, punctuation
+    other than ``-`` dropped, spaces to hyphens."""
+    text = re.sub(r"[^\w\- ]", "", heading.strip("# ").lower())
+    return text.replace(" ", "-")
 
 
 def _fenced_blocks(name):
+    """Every fenced block of one doc, each anchored as
+    ``<heading slug>-<ordinal among that heading's blocks>`` so editing
+    prose (or a block under another heading) never renames its test."""
     blocks = []
     info = None
     start = 0
     body = []
+    slug = "top"
+    ordinal = {}
     for lineno, line in enumerate((ROOT / name).read_text().splitlines(), 1):
         stripped = line.strip()
         if info is None and stripped.startswith("```"):
@@ -53,10 +65,14 @@ def _fenced_blocks(name):
             start = lineno
             body = []
         elif info is not None and stripped == "```":
-            blocks.append(Snippet(name, start, info, "\n".join(body) + "\n"))
+            ordinal[slug] = ordinal.get(slug, 0) + 1
+            blocks.append(Snippet(name, start, info, "\n".join(body) + "\n",
+                                  "%s-%d" % (slug, ordinal[slug])))
             info = None
         elif info is not None:
             body.append(line)
+        elif re.match(r"#{1,6} ", line):
+            slug = _slug(line)
     assert info is None, "%s: unclosed fence at line %d" % (name, start)
     return blocks
 
@@ -69,7 +85,7 @@ EXECUTABLE = [block for block in CODE_SNIPPETS
 TAGGED_ONLY = [block for block in CODE_SNIPPETS
                if block.info not in ("bash", "python")]
 
-_ids = lambda block: "%s:%d" % (block.name, block.lineno)
+_ids = lambda block: "%s#%s" % (block.name, block.anchor)
 
 
 class TestDocumentsExist:

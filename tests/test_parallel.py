@@ -324,9 +324,14 @@ class TestWarmPathParity:
 class TestResume:
     def test_killed_cell_resumes_with_identical_metrics(self, scale,
                                                         tmp_path):
-        from repro.reliability.guard import (RunInterrupted,
-                                             run_policy_resilient)
-        from repro.workloads.mixes import get_workload
+        from repro.experiments.runner import run_policy
+
+        class Killed(Exception):
+            pass
+
+        def kill_after_three(completed):
+            if completed == 3:
+                raise Killed()
 
         cell = SweepCell(workload="art-mcf",
                          policy=canonical_policy("HILL"))
@@ -334,13 +339,12 @@ class TestResume:
         cell_dir = parallel.cell_path(resume_dir,
                                       parallel.cache_key(cell, scale))
 
-        # Simulate the kill: the same resilient run the worker would do,
-        # stopped deterministically after 3 epochs with state on disk.
+        # Simulate the kill: the same run the worker would do, stopped
+        # deterministically after 3 epochs with state on disk.
         factory = parallel.policy_factory(cell.policy, scale)
-        with pytest.raises(RunInterrupted):
-            run_policy_resilient(get_workload(cell.workload), factory(),
-                                 scale, run_dir=cell_dir, resume=True,
-                                 sanitize_partitions=False, stop_after=3)
+        with pytest.raises(Killed):
+            run_policy(get_workload(cell.workload), factory(), scale,
+                       run_dir=cell_dir, on_epoch=kill_after_three)
         assert os.path.isdir(cell_dir)
 
         engine = SweepEngine(scale, cache_dir=str(tmp_path / "cache"),

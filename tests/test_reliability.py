@@ -1,14 +1,13 @@
 """Tests for the reliability subsystem: invariant checking, fault
-injection, partition sanitizing, and the guarded/resumable runner."""
+injection, partition sanitizing, and crash-safe resumable runs."""
 
-import json
 import os
 
 import pytest
 
-from repro.core.controller import EpochController, EpochResult
+from repro.core.controller import EpochController
 from repro.core.hill_climbing import make_hill_policy
-from repro.experiments.runner import ExperimentScale, run_policy
+from repro.experiments.runner import ExperimentScale, RunStore, run_policy
 from repro.pipeline.resources import sanitize_shares
 from repro.policies.icount import ICountPolicy
 from repro.policies.static_partition import StaticPartitionPolicy
@@ -19,15 +18,6 @@ from repro.reliability.faults import (
     PartitionScramble,
     RNGDesync,
     TransientFetchStall,
-)
-from repro.reliability.guard import (
-    BudgetExceeded,
-    LivelockDetected,
-    RunInterrupted,
-    RunStore,
-    Watchdog,
-    compare_policies_resilient,
-    run_policy_resilient,
 )
 from repro.reliability.invariants import InvariantChecker, InvariantViolation
 from repro.reliability.verify import run_verification
@@ -247,112 +237,116 @@ class TestFaults:
 
 
 # ----------------------------------------------------------------------
-# Watchdog + guard
+# Crash-safe runs (run_policy with a run_dir) and who retries them
 # ----------------------------------------------------------------------
 
 
-def _epoch(epoch_id, committed):
-    return EpochResult(epoch_id=epoch_id, kind="normal",
-                       committed=committed, cycles=100)
+class Killed(Exception):
+    """Stands in for a SIGKILL: raised from ``on_epoch`` after the
+    epoch's checkpoint and manifest writes."""
 
 
-class TestWatchdog:
-    def test_livelock_detected_after_streak(self):
-        watchdog = Watchdog(livelock_epochs=3)
-        watchdog.observe(_epoch(0, [0, 0]))
-        watchdog.observe(_epoch(1, [0, 0]))
-        with pytest.raises(LivelockDetected) as excinfo:
-            watchdog.observe(_epoch(2, [0, 0]))
-        assert excinfo.value.epochs == 3
-
-    def test_progress_resets_streak(self):
-        watchdog = Watchdog(livelock_epochs=2)
-        watchdog.observe(_epoch(0, [0, 0]))
-        watchdog.observe(_epoch(1, [5, 0]))
-        watchdog.observe(_epoch(2, [0, 0]))  # streak back to 1: no raise
+def kill_after(epochs):
+    def on_epoch(completed):
+        if completed == epochs:
+            raise Killed(completed)
+    return on_epoch
 
 
 class TestResilientRunner:
-    def test_matches_plain_run_policy(self, scale, workload):
+    """``run_policy(run_dir=...)``: per-epoch checkpoints, resume, and no
+    retry of its own — the sweep supervisor is the only retry layer."""
+
+    def test_matches_plain_run_policy(self, tmp_path, scale, workload):
         factory = hill_factory(scale)
         straight = run_policy(workload, factory(), scale)
-        guarded = run_policy_resilient(workload, factory(), scale)
-        assert guarded.ipcs == straight.ipcs
-        assert guarded.committed == straight.committed
-        assert guarded.cycles == straight.cycles
-        assert guarded.reliability["retries"] == 0
+        stored = run_policy(workload, factory(), scale,
+                            run_dir=str(tmp_path / "run"))
+        assert stored.to_dict() == straight.to_dict()
+        assert stored.reliability is None
 
     def test_interrupt_and_resume_identical(self, tmp_path, scale, workload):
         factory = hill_factory(scale)
         straight = run_policy(workload, factory(), scale)
         run_dir = str(tmp_path / "run")
-        with pytest.raises(RunInterrupted):
-            run_policy_resilient(workload, factory(), scale,
-                                 run_dir=run_dir, stop_after=2)
-        resumed = run_policy_resilient(workload, factory(), scale,
-                                       run_dir=run_dir, resume=True)
-        assert resumed.reliability["resumed_from"] == 2
-        assert resumed.ipcs == straight.ipcs
-        assert resumed.committed == straight.committed
-        assert resumed.cycles == straight.cycles
-        # A second resume short-circuits to the stored result.
-        again = run_policy_resilient(workload, factory(), scale,
-                                     run_dir=run_dir, resume=True)
-        assert again.ipcs == straight.ipcs
+        with pytest.raises(Killed):
+            run_policy(workload, factory(), scale, run_dir=run_dir,
+                       on_epoch=kill_after(2))
+        store = RunStore(run_dir)
+        assert store.latest_checkpoint()[0] == 2
+        assert [record["epoch_id"] for record in store.manifest_records()] \
+            == [0, 1]
+        seen = []
+        resumed = run_policy(workload, factory(), scale, run_dir=run_dir,
+                             on_epoch=seen.append)
+        assert seen == list(range(3, scale.epochs + 1))
+        assert resumed.to_dict() == straight.to_dict()
+        # A second call short-circuits to the stored result.
+        again = run_policy(workload, factory(), scale, run_dir=run_dir,
+                           on_epoch=seen.append)
+        assert again.to_dict() == straight.to_dict()
+        assert len(seen) == scale.epochs - 2
 
-    def test_budget_exceeded_is_structured_and_resumable(self, tmp_path,
-                                                         scale, workload):
-        run_dir = str(tmp_path / "run")
-        with pytest.raises(BudgetExceeded):
-            run_policy_resilient(workload, hill_factory(scale)(), scale,
-                                 run_dir=run_dir, max_cycles=1)
-        resumed = run_policy_resilient(workload, hill_factory(scale)(),
-                                       scale, run_dir=run_dir, resume=True)
-        straight = run_policy(workload, hill_factory(scale)(), scale)
-        assert resumed.ipcs == straight.ipcs
-
-    def test_retry_after_injected_violation(self, scale, workload,
+    def test_retry_after_injected_violation(self, tmp_path, scale,
                                             monkeypatch):
-        """A one-shot failure is retried from the last good epoch and the
-        run completes."""
+        """A one-shot failure is one supervisor attempt: the cell is
+        retried from its checkpoint and caches the clean bytes."""
+        from repro.experiments.parallel import SweepCell, SweepEngine
+        from repro.reliability.supervisor import Supervision
+
+        cell = SweepCell(workload="art-mcf", policy="FLUSH")
+        (clean,) = SweepEngine(scale, cache_dir=str(tmp_path / "clean")
+                               ).run_cells([cell])
         calls = {"n": 0}
         original = EpochController.run_epoch
 
         def flaky(self):
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 5:
                 raise InvariantViolation("test-fault", "injected once")
             return original(self)
 
         monkeypatch.setattr(EpochController, "run_epoch", flaky)
-        result = run_policy_resilient(workload, ICountPolicy(), scale,
-                                      max_retries=2)
-        assert result.reliability["retries"] == 1
-        assert "test-fault" in result.reliability["failures"][0]
+        engine = SweepEngine(
+            scale, cache_dir=str(tmp_path / "cache"),
+            resume_dir=str(tmp_path / "resume"),
+            supervision=Supervision(max_attempts=2, retry_base_delay=0.0))
+        (result,) = engine.run_cells([cell])
+        assert engine.supervisor_stats["retries"] == 1
+        assert engine.stats["resumed"] == 1
+        # Four epochs before the fault, two after the resume.
+        assert calls["n"] == scale.epochs + 1
+        assert result.to_dict() == clean.to_dict()
 
     def test_retries_exhausted_reraises(self, scale, workload, monkeypatch):
+        """The epoch loop itself never retries: the first failure ends
+        the run."""
+        calls = {"n": 0}
+
         def always_fails(self):
+            calls["n"] += 1
             raise InvariantViolation("test-fault", "permanent")
 
         monkeypatch.setattr(EpochController, "run_epoch", always_fails)
         with pytest.raises(InvariantViolation):
-            run_policy_resilient(workload, ICountPolicy(), scale,
-                                 max_retries=2)
+            run_policy(workload, ICountPolicy(), scale)
+        assert calls["n"] == 1
 
     def test_compare_resilient_resume_dir_layout(self, tmp_path, scale,
-                                                 workload):
-        factories = {"ICOUNT": ICountPolicy,
-                     "STATIC": StaticPartitionPolicy}
-        results = compare_policies_resilient(
-            workload, factories, scale, str(tmp_path))
-        assert set(results) == {"ICOUNT", "STATIC"}
-        # One directory per run, named by its canonical cell's cache key.
+                                                 workload, capsys):
+        """``repro compare --resume-dir``: one directory per run, named by
+        its canonical cell's cache key, each holding its result."""
+        from repro.cli import main
         from repro.experiments.parallel import run_path
 
+        names = ("ICOUNT", "STATIC")
+        main(["compare", "--workload", workload.name, "--scale", "smoke",
+              "--policies", *names, "--resume-dir", str(tmp_path)])
+        capsys.readouterr()
         subdirs = sorted(os.listdir(str(tmp_path)))
         assert subdirs == sorted(
             os.path.basename(run_path(str(tmp_path), workload.name, name,
-                                      scale)) for name in factories)
+                                      scale)) for name in names)
         for subdir in subdirs:
             assert (tmp_path / subdir / "result.json").exists()
 

@@ -303,6 +303,73 @@ class TestSupervisedEngine:
                                quarantined=engine.quarantined))
 
 
+# -- one retry layer ---------------------------------------------------------
+
+
+@pytest.fixture
+def fail_fifth_epoch(monkeypatch):
+    """Make the 5th ``EpochController.run_epoch`` call in this process
+    raise once (jobs=1 runs cells in process)."""
+    from repro.core.controller import EpochController
+
+    calls = {"n": 0}
+    original = EpochController.run_epoch
+
+    def flaky(self):
+        calls["n"] += 1
+        if calls["n"] == 5:
+            raise RuntimeError("injected once")
+        return original(self)
+
+    def arm():
+        monkeypatch.setattr(EpochController, "run_epoch", flaky)
+        return calls
+    return arm
+
+
+class TestOneRetryLayer:
+    """A failure inside a cell's epoch loop is one supervisor attempt —
+    a ``cell-retry`` event and a ``retries`` count — and never an
+    in-cell repair, whatever ``--cell-timeout``/``--resume-dir`` say; the
+    retried cell caches the bytes of a clean run."""
+
+    CELL = parallel.SweepCell(workload="art-mcf", policy="FLUSH")
+
+    @pytest.mark.parametrize("flags", ["cell-timeout", "resume-dir"])
+    def test_one_shot_fault_is_one_supervisor_retry(
+            self, scale, tmp_path, fail_fifth_epoch, flags):
+        (clean,) = SweepEngine(scale, cache_dir=str(tmp_path / "clean")
+                               ).run_cells([self.CELL])
+        fail_fifth_epoch()
+        events = []
+        if flags == "cell-timeout":
+            options = dict(supervision=_fast_config(cell_timeout=600,
+                                                    max_attempts=2))
+        else:
+            options = dict(supervision=_fast_config(max_attempts=2),
+                           resume_dir=str(tmp_path / "resume"))
+        engine = SweepEngine(scale, jobs=1, cache_dir=str(tmp_path / "c"),
+                             on_event=events.append, **options)
+        (result,) = engine.run_cells([self.CELL])
+        assert engine.supervisor_stats["retries"] == 1
+        assert [event["cell"] for event in events
+                if event["event"] == "cell-retry"] == [self.CELL.label]
+        assert result.to_dict() == clean.to_dict()
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_fail_fast_raises_naming_the_cell(self, scale, tmp_path,
+                                              fail_fifth_epoch, resume):
+        from repro.reliability.supervisor import SupervisorError
+
+        fail_fifth_epoch()
+        engine = SweepEngine(
+            scale, jobs=1, cache_dir=str(tmp_path / "c"),
+            resume_dir=str(tmp_path / "resume") if resume else None)
+        with pytest.raises(SupervisorError) as excinfo:
+            engine.run_cells([self.CELL])
+        assert self.CELL.label in str(excinfo.value)
+
+
 # -- chaos presets ----------------------------------------------------------
 
 POOL_PRESETS = sorted(name for name, (tier, __) in CHAOS_PRESETS.items()
