@@ -1,14 +1,13 @@
 """Static analysis over the ``repro`` package itself (``repro lint``).
 
-Four AST/import-graph passes keep the reproduction trustworthy at
+Three AST/import-graph passes keep the reproduction trustworthy at
 production scale (docs/ANALYSIS.md has the rule catalogue):
 
-* :mod:`~repro.analysis.lint.fingerprints` — proves the sweep cache's
-  code-fingerprint source lists cover every module that can affect a
-  cached result (rules FP001–FP006).
 * :mod:`~repro.analysis.lint.determinism` — bans nondeterminism hazards
   (wall clock, OS entropy, global RNG state, unseeded RNGs, ``id()``
-  keys, set-iteration order) in results-affecting code (ND101–ND107).
+  keys, set-iteration order) in the code a cached sweep cell can run,
+  the import closure computed by :mod:`~repro.analysis.lint.importgraph`
+  (ND101–ND107).
 * :mod:`~repro.analysis.lint.contracts` — verifies every
   ``ResourcePolicy`` subclass against the hook API declared in
   ``policies/base.py`` (PC201–PC204).

@@ -2,9 +2,10 @@
 code (rules ND101–ND107, see docs/ANALYSIS.md).
 
 The pass is purely syntactic (stdlib ``ast``); it scans exactly the files
-that feed cached simulation results — the same closure the fingerprint
-auditor computes — so "this module can change an IPC number" and "this
-module must be deterministic" are enforced over the same set.
+that feed cached simulation results — the import closure of the sweep
+cell entry modules (``engine.determinism_scope``) — so "this module can
+change an IPC number" and "this module must be deterministic" are
+enforced over the same set.
 
 A sanctioned hazard is suppressed with a per-line, per-rule marker::
 

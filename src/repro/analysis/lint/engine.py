@@ -1,20 +1,19 @@
-"""``repro lint`` orchestration: bind the four static-analysis passes
+"""``repro lint`` orchestration: bind the three static-analysis passes
 to the real ``repro`` package and render findings.
 
-* fingerprint coverage auditor  (FP1xx codes — :mod:`.fingerprints`)
 * determinism linter            (ND1xx codes — :mod:`.determinism`)
 * policy-contract checker       (PC2xx codes — :mod:`.contracts`)
 * async-safety pass             (AS3xx codes — :mod:`.asyncsafety`)
 
-The determinism scope is derived, not hand-picked: every file any
-family's fingerprint hashes (closures plus explicit source entries) must
-be deterministic, because those are exactly the files whose behaviour is
-memoized by the result cache.  The service tier sits *outside* every
-fingerprint closure (it orchestrates cached cells, it cannot change
-their bytes), so its result-path files are added explicitly via
-:data:`SERVICE_RESULT_PATH` — they decide *which* results are produced
-and merged, and wall-clock-dependent control flow there is exactly as
-suspect as in the core.
+The determinism scope is derived, not hand-picked: the import closure of
+the sweep cell entry modules (:data:`CELL_ENTRIES`) is exactly the code
+whose behaviour the result cache memoizes, so all of it must be
+deterministic.  The service tier sits *outside* that closure (it
+orchestrates cached cells, it cannot change their bytes), so its
+result-path files are added explicitly via :data:`SERVICE_RESULT_PATH`
+— they decide *which* results are produced and merged, and
+wall-clock-dependent control flow there is exactly as suspect as in the
+core.
 
 Also usable as a library (the self-check tests call :func:`run_repo_lint`
 directly) and parameterizable over fixture trees via the pass modules.
@@ -26,16 +25,12 @@ import json
 import os
 from typing import Callable
 
-from repro.analysis.lint import (
-    asyncsafety,
-    contracts,
-    determinism,
-    fingerprints,
-)
+from repro.analysis.lint import asyncsafety, contracts, determinism
 from repro.analysis.lint.findings import RULES, Finding, rule_doc
 from repro.analysis.lint.importgraph import ImportGraph, build_graph
 
 __all__ = [
+    "CELL_ENTRIES",
     "PASSES",
     "JSON_SCHEMA_VERSION",
     "explain",
@@ -44,7 +39,6 @@ __all__ = [
     "package_root",
     "render_json",
     "render_text",
-    "repo_spec",
     "run_repo_lint",
 ]
 
@@ -55,9 +49,13 @@ BASE_POLICY_CLASS = "ResourcePolicy"
 #: The async-safety pass scans every module under this package prefix.
 SERVICE_PREFIX = "service/"
 
+#: The modules a sweep cell runs from: the determinism scope starts at
+#: their import closure.
+CELL_ENTRIES = ("experiments/runner.py", "experiments/parallel.py")
+
 #: Service-tier files on the *result path* — they choose, lease, merge
 #: and persist sweep results, so they are held to the same determinism
-#: bar as the fingerprinted core.  Deliberately excluded:
+#: bar as the cell code.  Deliberately excluded:
 #: ``service/loadtest.py`` (wall-clock latency percentiles ARE its
 #: output) and ``service/__init__.py`` (docstring only).
 SERVICE_RESULT_PATH = (
@@ -80,49 +78,16 @@ def package_root() -> str:
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def repo_spec() -> fingerprints.FingerprintSpec:
-    """The live fingerprint configuration from the sweep engine."""
-    from repro.experiments import parallel
-
-    return fingerprints.FingerprintSpec(
-        core_entries=tuple(parallel._CORE_ENTRIES),
-        core_sources=tuple(parallel._CORE_SOURCES),
-        family_entries={family: tuple(entries) for family, entries
-                        in parallel._FAMILY_ENTRIES.items()},
-        family_sources={family: tuple(sources) for family, sources
-                        in parallel._POLICY_SOURCES.items()},
-    )
-
-
-def determinism_scope(graph: ImportGraph,
-                      spec: fingerprints.FingerprintSpec) -> tuple[str, ...]:
-    """Every file whose content is hashed into some cache key, plus the
-    service tier's result-path files (:data:`SERVICE_RESULT_PATH`)."""
-    scope: set[str] = set()
-    file_set = set(graph.files)
-    for family, entries in spec.family_entries.items():
-        roots = spec.core_entries + entries
-        if all(rel in file_set for rel in roots):
-            scope.update(graph.closure(roots))
-    for entry in spec.core_sources + tuple(
-            rel for sources in spec.family_sources.values()
-            for rel in sources):
-        if entry in file_set:
-            scope.add(entry)
-        else:
-            prefix = entry.rstrip("/") + "/"
-            scope.update(rel for rel in graph.files
-                         if rel.startswith(prefix))
-    scope.update(rel for rel in SERVICE_RESULT_PATH if rel in file_set)
+def determinism_scope(graph: ImportGraph) -> tuple[str, ...]:
+    """The import closure of :data:`CELL_ENTRIES` plus the service
+    tier's result-path files (:data:`SERVICE_RESULT_PATH`)."""
+    scope = set(graph.closure(CELL_ENTRIES))
+    scope.update(rel for rel in SERVICE_RESULT_PATH if rel in graph.files)
     return tuple(sorted(scope))
 
 
-def _fingerprint_pass(root: str, graph: ImportGraph) -> list[Finding]:
-    return fingerprints.audit_fingerprints(graph, repo_spec())
-
-
 def _determinism_pass(root: str, graph: ImportGraph) -> list[Finding]:
-    return determinism.scan_tree(root, determinism_scope(graph, repo_spec()))
+    return determinism.scan_tree(root, determinism_scope(graph))
 
 
 def _contract_pass(root: str, graph: ImportGraph) -> list[Finding]:
@@ -137,7 +102,6 @@ def _async_pass(root: str, graph: ImportGraph) -> list[Finding]:
 
 
 PASSES: dict[str, Callable[[str, ImportGraph], list[Finding]]] = {
-    "fingerprints": _fingerprint_pass,
     "determinism": _determinism_pass,
     "contracts": _contract_pass,
     "async": _async_pass,
@@ -148,7 +112,7 @@ def filter_findings(findings: list[Finding],
                     select: tuple[str, ...] = (),
                     ignore: tuple[str, ...] = ()) -> list[Finding]:
     """Keep findings whose code starts with a ``select`` prefix (all, if
-    empty) and no ``ignore`` prefix.  ``FP``/``ND1``/``PC203`` all work."""
+    empty) and no ``ignore`` prefix.  ``ND``/``AS3``/``PC203`` all work."""
     kept = []
     for finding in findings:
         if select and not any(finding.rule.startswith(prefix)
@@ -163,7 +127,7 @@ def filter_findings(findings: list[Finding],
 def run_repo_lint(select: tuple[str, ...] = (),
                   ignore: tuple[str, ...] = (),
                   root: str | None = None) -> list[Finding]:
-    """All four passes over the installed ``repro`` package."""
+    """Every pass over the installed ``repro`` package."""
     root = root if root is not None else package_root()
     graph = build_graph(root, "repro")
     findings: list[Finding] = []

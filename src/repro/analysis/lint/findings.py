@@ -63,68 +63,6 @@ class Rule:
 
 _RULE_LIST = (
     Rule(
-        "FP001", "fingerprint-closure-gap",
-        "a file the cell's result can depend on is missing from the "
-        "fingerprint source lists",
-        "The static import closure of a policy family (computed from its "
-        "entry modules plus the core run machinery) contains a module that "
-        "neither `_CORE_SOURCES` nor that family's `_POLICY_SOURCES` entry "
-        "covers.  Editing that module would NOT invalidate the family's "
-        "cached results — the stale-IPC failure mode this auditor exists "
-        "to prevent.  Fix: add the named file (or its directory) to the "
-        "fingerprint lists in src/repro/experiments/parallel.py.",
-    ),
-    Rule(
-        "FP002", "fingerprint-unreachable-source",
-        "an explicitly listed fingerprint file is outside every import "
-        "closure that could use it",
-        "A file entry in `_CORE_SOURCES` / `_POLICY_SOURCES` is not "
-        "reachable in the corresponding import closure.  Harmless for "
-        "correctness (over-hashing only widens invalidation) but it "
-        "usually means a stale entry or a typo, so it is reported as a "
-        "warning.  Directory entries are exempt: they express deliberate "
-        "bulk coverage.",
-    ),
-    Rule(
-        "FP003", "fingerprint-missing-file",
-        "a fingerprint source entry does not exist on disk",
-        "An entry of `_CORE_SOURCES` / `_POLICY_SOURCES` names a path "
-        "that does not exist under the package root.  `code_fingerprint()` "
-        "would silently hash nothing for it, so a rename or deletion "
-        "could go unnoticed.",
-    ),
-    Rule(
-        "FP004", "fingerprint-family-drift",
-        "the family maps disagree about which policy families exist",
-        "`_POLICY_SOURCES` and `_FAMILY_ENTRIES` must declare exactly the "
-        "same family names, and every family entry module must appear in "
-        "that family's source list (or in `_CORE_SOURCES`): the auditor "
-        "computes closures from the entries, so an unlisted entry would "
-        "never be hashed.",
-    ),
-    Rule(
-        "FP005", "fingerprint-reexport-import",
-        "fingerprint-relevant code imports a symbol through a package "
-        "__init__ re-export",
-        "`from repro.pkg import symbol` resolved through `pkg/__init__.py` "
-        "hides the defining module from the static import graph (the "
-        "auditor includes the __init__ file but does not chase re-export "
-        "chains).  Import the defining module directly, or mark a "
-        "sanctioned registry lookup with `# repro: allow-reexport[FP005]` "
-        "when every module behind the registry is covered by a family "
-        "fingerprint.",
-    ),
-    Rule(
-        "FP006", "fingerprint-bad-dispatch",
-        "a `# repro: dispatch[FAMILY]` marker names an unknown family or "
-        "an uncovered target",
-        "Dispatch markers exempt a per-family lazy import (e.g. "
-        "`policy_factory` importing the HILL module) from the shared core "
-        "closure, because the target is hashed by that family's own "
-        "fingerprint instead.  The marker is only sound if the named "
-        "family exists and its source list covers the imported module.",
-    ),
-    Rule(
         "ND101", "wall-clock-read",
         "simulation-affecting code reads the wall clock",
         "`time.time()`, `time.monotonic()`, `time.perf_counter()`, "
@@ -272,9 +210,6 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}
 
 ALLOW_RE = re.compile(
     r"#\s*repro:\s*allow-[a-z-]+\[([A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)\]")
-
-#: ``# repro: dispatch[FAMILY]`` marker on an import line (see FP006).
-DISPATCH_RE = re.compile(r"#\s*repro:\s*dispatch\[([A-Z0-9-]+)\]")
 
 
 def allowed_codes(source_line: str) -> frozenset[str]:

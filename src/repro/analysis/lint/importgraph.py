@@ -3,29 +3,24 @@
 Builds a file-level import graph without executing any code: every
 ``import`` / ``from ... import`` statement in every module of the package
 becomes an edge to the module file it resolves to (imports of external
-packages are ignored).  The graph is the substrate of the fingerprint
-auditor, so its semantics are deliberately conservative:
+packages are ignored).  The graph derives the determinism linter's scope
+(the code a cached sweep cell can run), so its semantics are
+deliberately conservative:
 
 * **Function-level (lazy) imports count.**  A module imported inside a
   function still runs that module's code when the function executes, so
   it can affect results exactly like a top-level import.
 * **``from pkg import name``** resolves to the module ``pkg/name.py``
-  when one exists; otherwise it is a *symbol* import through
-  ``pkg/__init__.py`` and the edge targets the ``__init__`` file with
-  ``via_init=True`` (the fingerprint auditor rejects those in
-  results-affecting code — rule FP005 — because re-export chains are not
-  chased).
-* **Package ``__init__`` files are included but not traversed.**
-  Importing ``repro.a.b`` executes ``repro/__init__.py`` and
-  ``repro/a/__init__.py``, so closures include every ancestor
-  ``__init__`` *file*; their out-edges are re-export/registry wiring and
-  are not followed (symbol imports through them are policed by FP005
-  instead).
-* **``# repro: dispatch[FAMILY]``** on an import line marks a per-family
-  dispatch point (e.g. the sweep worker importing one policy family's
-  module).  Dispatch edges are excluded from every closure — the named
-  family's own fingerprint covers the target — and the auditor verifies
-  that claim (rule FP006).
+  when one exists; otherwise it is a *symbol* import and the edge
+  targets ``pkg`` itself (``pkg/__init__.py`` for a package).
+* **An imported package ``__init__`` is traversed; an ancestor one is
+  not.**  Importing from ``pkg`` runs ``pkg/__init__.py`` and whatever
+  it imports (a registry such as ``policies.BASELINE_POLICIES`` reaches
+  its modules that way), so closures follow its edges.  Importing
+  ``repro.a.b`` also executes ``repro/__init__.py`` and
+  ``repro/a/__init__.py``; closures include those ancestor files but do
+  not follow their imports, which would pull in every sibling module
+  (the CLI's harnesses and analyses) that the entry code never calls.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
-
-from repro.analysis.lint.findings import DISPATCH_RE
 
 __all__ = ["ImportEdge", "ImportGraph", "build_graph"]
 
@@ -47,9 +40,6 @@ class ImportEdge:
     dst: str           # target module file, relative to the package root
     lineno: int
     lazy: bool         # statement sits inside a function body
-    via_init: bool     # symbol import resolved to a package __init__.py
-    dispatch: str | None  # family tag from ``# repro: dispatch[FAM]``
-    symbol: str | None    # imported name for ``from mod import name``
 
 
 class ImportGraph:
@@ -82,29 +72,23 @@ class ImportGraph:
         return tuple(inits)
 
     def closure(self, entries: tuple[str, ...]) -> frozenset[str]:
-        """Transitive results-affecting closure from entry files.
+        """Transitive import closure of the entry files.
 
-        Follows every non-dispatch edge; includes (but never traverses
-        out of) ``__init__`` files; includes every visited file's
-        ancestor ``__init__`` files.
+        Follows every edge, lazy ones included, and so traverses each
+        ``__init__`` that a visited file imports from; then adds every
+        visited file's ancestor ``__init__`` files without following
+        their imports.
         """
         seen: set[str] = set()
-        stack = [rel for rel in entries]
+        stack = list(entries)
         while stack:
             rel = stack.pop()
             if rel in seen:
                 continue
             seen.add(rel)
-            for init in self.ancestor_inits(rel):
-                if init not in seen:
-                    seen.add(init)
-            if os.path.basename(rel) == "__init__.py":
-                continue  # registry/re-export wiring: file only
-            for edge in self.edges_from(rel):
-                if edge.dispatch is not None:
-                    continue  # covered by the named family's fingerprint
-                if edge.dst not in seen:
-                    stack.append(edge.dst)
+            stack.extend(edge.dst for edge in self.edges_from(rel))
+        for rel in tuple(seen):
+            seen.update(self.ancestor_inits(rel))
         return frozenset(seen)
 
 
@@ -150,12 +134,11 @@ class _ImportCollector(ast.NodeVisitor):
     """Collects resolved import edges for one module file."""
 
     def __init__(self, rel: str, module: str, package: str,
-                 files: frozenset[str], lines: list[str]) -> None:
+                 files: frozenset[str]) -> None:
         self.rel = rel
         self.module = module
         self.package = package
         self.files = files
-        self.lines = lines
         self.depth = 0  # function nesting
         self.edges: list[ImportEdge] = []
 
@@ -173,28 +156,17 @@ class _ImportCollector(ast.NodeVisitor):
 
     # -- edges -----------------------------------------------------------
 
-    def _dispatch_tag(self, lineno: int) -> str | None:
-        if 1 <= lineno <= len(self.lines):
-            match = DISPATCH_RE.search(self.lines[lineno - 1])
-            if match is not None:
-                return match.group(1)
-        return None
-
-    def _add(self, node: ast.stmt, module: str, via_init: bool,
-             symbol: str | None) -> None:
+    def _add(self, node: ast.stmt, module: str) -> None:
         dst = _module_to_rel(module, self.package, self.files)
         if dst is None:
             return
-        resolved_via_init = via_init or (
-            symbol is not None and dst.endswith("__init__.py"))
-        self.edges.append(ImportEdge(
-            src=self.rel, dst=dst, lineno=node.lineno,
-            lazy=self.depth > 0, via_init=resolved_via_init,
-            dispatch=self._dispatch_tag(node.lineno), symbol=symbol))
+        self.edges.append(ImportEdge(src=self.rel, dst=dst,
+                                     lineno=node.lineno,
+                                     lazy=self.depth > 0))
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self._add(node, alias.name, via_init=False, symbol=None)
+            self._add(node, alias.name)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.level:  # relative import: resolve against our package
@@ -217,10 +189,10 @@ class _ImportCollector(ast.NodeVisitor):
             submodule = base + "." + alias.name
             if _module_to_rel(submodule, self.package, self.files) is not None:
                 # ``from pkg import module`` — a real module import
-                self._add(node, submodule, via_init=False, symbol=None)
+                self._add(node, submodule)
             else:
                 # ``from mod import symbol`` — depends on ``mod`` itself
-                self._add(node, base, via_init=False, symbol=alias.name)
+                self._add(node, base)
 
 
 def build_graph(root: str, package: str) -> ImportGraph:
@@ -232,11 +204,9 @@ def build_graph(root: str, package: str) -> ImportGraph:
     for rel in files:
         full = os.path.join(root, rel)
         with open(full, encoding="utf-8") as handle:
-            source = handle.read()
-        tree = ast.parse(source, filename=full)
+            tree = ast.parse(handle.read(), filename=full)
         collector = _ImportCollector(
-            rel, _rel_to_module(rel, package), package, file_set,
-            source.splitlines())
+            rel, _rel_to_module(rel, package), package, file_set)
         collector.visit(tree)
         edges.extend(collector.edges)
     return ImportGraph(root=root, package=package, files=files,

@@ -220,7 +220,7 @@ def cmd_compare(args):
         name: _policy_factory(name, scale) for name in args.policies
     }
     print("comparing %s on %s..." % (", ".join(factories), workload.name))
-    seeds = args.seeds if len(args.seeds) > 1 else [scale.seed]
+    seeds = args.seeds if args.seeds is not None else [scale.seed]
     rows = []
     for name, factory in factories.items():
         results = [_run(args, workload, name, factory(),
@@ -705,9 +705,9 @@ def build_parser():
     sub.add_argument("--workload", required=True)
     sub.add_argument("--policies", nargs="+",
                      default=["ICOUNT", "FLUSH", "DCRA", "HILL"])
-    sub.add_argument("--seeds", nargs="+", type=int, default=[0],
-                     help="evaluate across several seeds (reports mean "
-                          "+/- stdev)")
+    sub.add_argument("--seeds", nargs="+", type=int, default=None,
+                     help="evaluate across these seeds (reports mean "
+                          "+/- stdev over several; default: --seed)")
     _add_scale_args(sub)
     _add_resume_arg(sub)
     sub.set_defaults(func=cmd_compare)
@@ -818,12 +818,12 @@ def build_parser():
 
     sub = commands.add_parser(
         "lint",
-        help="static self-analysis: fingerprint coverage, determinism, "
-             "policy contracts, async safety (exit 1 on findings)")
+        help="static self-analysis: determinism, policy contracts, "
+             "async safety (exit 1 on findings)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--select", nargs="+", default=None, metavar="CODE",
                      help="only rules with these code prefixes; "
-                          "space- or comma-separated (e.g. FP ND1 "
+                          "space- or comma-separated (e.g. ND1 "
                           "PC203, or AS,ND)")
     sub.add_argument("--ignore", nargs="+", default=None, metavar="CODE",
                      help="drop rules with these code prefixes")

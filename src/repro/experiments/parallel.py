@@ -8,9 +8,9 @@ allocations as independent trials.  This module fans that grid out over a
 a content-addressed on-disk cache, so that
 
 * a sweep saturates however many cores the host has (``jobs=N``);
-* re-running a sweep after editing one policy re-simulates only the cells
-  whose cache keys changed (the key includes a per-policy code
-  fingerprint — see :func:`cache_key`);
+* a re-run serves every cell whose cache key is unchanged; the key
+  includes a digest of the whole package's source (see
+  :func:`code_fingerprint`), so any code edit re-simulates every cell;
 * a killed sweep resumes: completed cells return from the cache, and with
   a ``resume_dir`` each in-flight cell checkpoints per epoch
   (:func:`~repro.experiments.runner.run_policy` with a ``run_dir``) into
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 from repro.experiments.export import _jsonable, indented_json
 from repro.experiments.runner import RunResult, remember_solo, run_policy
-from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
+from repro.policies import BASELINE_POLICIES
 from repro.reliability.supervisor import (
     FAIL_FAST,
     SWEEP_EVENTS,
@@ -129,9 +129,9 @@ def policy_factory(name, scale):
     This is the single name-resolution point shared by the CLI and the
     sweep workers; raises :class:`ValueError` for unknown names.
     """
-    from repro.core.hill_climbing import HillClimbingPolicy  # repro: dispatch[HILL]
+    from repro.core.hill_climbing import HillClimbingPolicy
     from repro.core.metrics import metric_by_name
-    from repro.core.phase_hill import PhaseHillPolicy  # repro: dispatch[PHASE-HILL]
+    from repro.core.phase_hill import PhaseHillPolicy
 
     spec = canonical_policy(name)
     if spec in BASELINE_POLICIES:
@@ -190,69 +190,8 @@ def grid_cells(workloads=None, groups=None, policies=DEFAULT_POLICIES,
 
 # -- code fingerprint ---------------------------------------------------
 
-#: Entry modules whose transitive import closure defines "code every cell
-#: depends on".  ``repro lint`` (the fingerprint auditor, rule FP001)
-#: proves that ``_CORE_SOURCES`` + ``_POLICY_SOURCES[family]`` covers the
-#: import closure of ``_CORE_ENTRIES`` + ``_FAMILY_ENTRIES[family]``.
-_CORE_ENTRIES = ("experiments/runner.py", "experiments/parallel.py")
-
-#: Per-family entry modules: the lazily imported policy implementations.
-#: Their lazy import sites carry ``# repro: dispatch[FAMILY]`` markers so
-#: the auditor can attribute each to one family (rule FP006).
-_FAMILY_ENTRIES = {
-    "ICOUNT": ("policies/icount.py",),
-    "FPG": ("policies/fpg.py",),
-    "STALL": ("policies/stall.py",),
-    "FLUSH": ("policies/flush.py",),
-    "STALL-FLUSH": ("policies/stall_flush.py",),
-    "DG": ("policies/dg.py",),
-    "PDG": ("policies/dg.py",),
-    "DCRA": ("policies/dcra.py",),
-    "STATIC": ("policies/static_partition.py",),
-    "HILL": ("core/hill_climbing.py",),
-    "PHASE-HILL": ("core/phase_hill.py",),
-}
-
-#: Source files every cell depends on, relative to the ``repro`` package:
-#: the simulator substrate, the run machinery (including its on-disk run
-#: state), the supervisor, the policy registry and the default fetch
-#: policy (ICOUNT drives both default fetch priority and SingleIPC runs).
-#: Package ``__init__`` files are hashed because importing any closure
-#: module executes them.
-_CORE_SOURCES = (
-    # Directory entries hash every .py under them, so the fast core's
-    # quiescence module (pipeline/fastpath.py) is covered by "pipeline" —
-    # editing it invalidates every cell, exactly as editing the reference
-    # loop does.
-    "pipeline", "memory", "branch", "workloads",
-    "__init__.py", "core/__init__.py", "experiments/__init__.py",
-    "policies/__init__.py", "reliability/__init__.py",
-    "core/controller.py", "core/metrics.py",
-    "policies/base.py", "policies/icount.py",
-    "experiments/runner.py", "experiments/parallel.py",
-    "experiments/export.py",
-    "reliability/supervisor.py",
-)
-
-#: Extra sources per policy family; editing one of these invalidates only
-#: that family's cells.
-_POLICY_SOURCES = {
-    "ICOUNT": (),
-    "FPG": ("policies/fpg.py",),
-    "STALL": ("policies/stall.py",),
-    "FLUSH": ("policies/flush.py",),
-    "STALL-FLUSH": ("policies/stall_flush.py", "policies/flush.py"),
-    "DG": ("policies/dg.py",),
-    "PDG": ("policies/dg.py",),
-    "DCRA": ("policies/dcra.py",),
-    "STATIC": ("policies/static_partition.py",),
-    "HILL": ("core/hill_climbing.py", "core/partition.py"),
-    "PHASE-HILL": ("core/phase_hill.py", "core/hill_climbing.py",
-                   "core/partition.py", "phase"),
-}
-
-#: Memoized fingerprints, keyed by family.
-_fingerprint_memo = {}
+#: The package digest, computed once per process.
+_fingerprint = None
 
 
 def _package_root():
@@ -261,58 +200,35 @@ def _package_root():
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def _iter_source_files(root, rel):
-    path = os.path.join(root, rel)
-    if os.path.isfile(path):
-        yield rel, path
-        return
-    for dirpath, dirnames, filenames in os.walk(path):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                full = os.path.join(dirpath, name)
-                yield os.path.relpath(full, root), full
+def code_fingerprint():
+    """Hash of every ``.py`` file under the ``repro`` package.
 
-
-def _fingerprint_files(root, family):
-    """Package-relative source files one family's fingerprint hashes."""
-    files = []
-    for rel in _CORE_SOURCES + _POLICY_SOURCES[family]:
-        files.extend(relpath for relpath, _ in _iter_source_files(root, rel))
-    return tuple(sorted(set(files)))
-
-
-def code_fingerprint(policy):
-    """Hash of the source files a policy's simulation depends on.
-
-    The fingerprint covers the simulator substrate plus the policy's own
-    module(s), so editing ``policies/dcra.py`` invalidates DCRA cells
-    only, while editing the pipeline invalidates everything.  The file
-    set is the audited hand lists (``repro lint`` proves them
-    sufficient).
+    Each file contributes its package-relative path and its bytes, in
+    sorted path order, so editing, adding, renaming or deleting any
+    source file invalidates every cached cell and solo.  There is no
+    exclusion list: over-invalidating costs one re-simulation, while a
+    file left unhashed could serve a stale result.
     """
-    family = canonical_policy(policy)
-    if family.startswith("PHASE-HILL"):
-        family = "PHASE-HILL"
-    elif family.startswith("HILL"):
-        family = "HILL"
-    memo = _fingerprint_memo.get(family)
-    if memo is not None:
-        return memo
-    root = _package_root()
-    digest = hashlib.sha256()
-    for relpath in _fingerprint_files(root, family):
-        digest.update(relpath.encode())
-        with open(os.path.join(root, relpath), "rb") as handle:
-            digest.update(hashlib.sha256(handle.read()).digest())
-    value = digest.hexdigest()
-    _fingerprint_memo[family] = value
-    return value
+    global _fingerprint
+    if _fingerprint is None:
+        root = _package_root()
+        relpaths = sorted(
+            os.path.relpath(os.path.join(dirpath, name), root)
+            for dirpath, _, filenames in os.walk(root)
+            for name in filenames if name.endswith(".py"))
+        digest = hashlib.sha256()
+        for relpath in relpaths:
+            digest.update(relpath.encode())
+            with open(os.path.join(root, relpath), "rb") as handle:
+                digest.update(hashlib.sha256(handle.read()).digest())
+        _fingerprint = digest.hexdigest()
+    return _fingerprint
 
 
 def clear_fingerprint_memo():
-    """Forget memoized fingerprints (tests edit sources mid-process)."""
-    _fingerprint_memo.clear()
+    """Forget the memoized digest (tests edit sources mid-process)."""
+    global _fingerprint
+    _fingerprint = None
 
 
 #: Memoized sorted-key JSON text of the frozen values a cache key embeds
@@ -353,9 +269,9 @@ def cache_key(cell, scale):
     parameters, not just their names), the canonical policy spec, the
     seed, the epoch schedule (epoch size, the cell's epoch count, warmup,
     and the scale's epoch count — the SingleIPC window, which differs
-    from the cell's when the cell overrides ``epochs``), and the relevant
-    code fingerprint.  Anything else — job count, cache location, event
-    stream, resume state — deliberately stays out.
+    from the cell's when the cell overrides ``epochs``), and the package
+    :func:`code_fingerprint`.  Anything else — job count, cache location,
+    event stream, resume state — deliberately stays out.
 
     The hashed blob is ``json.dumps(payload, sort_keys=True)`` of
     ``{"code", "config", "policy", "profiles", "schedule", "seed",
@@ -371,7 +287,7 @@ def cache_key(cell, scale):
     }
     blob = ('{"code": %s, "config": %s, "policy": %s, "profiles": [%s], '
             '"schedule": %s, "seed": %s, "workload": %s}') % (
-        json.dumps(code_fingerprint(cell.policy)), _fragment(scale.config),
+        json.dumps(code_fingerprint()), _fragment(scale.config),
         json.dumps(cell.policy),
         ", ".join(map(_fragment, get_workload(cell.workload).profiles)),
         json.dumps(schedule, sort_keys=True), json.dumps(cell.seed),
@@ -386,9 +302,7 @@ def solo_key(profile, scale):
     profile's parameters (its name included, since the name seeds the
     instruction stream), the machine configuration, the solo window
     (epoch size, the *scale's* epoch count, warmup), the seed, and the
-    ICOUNT family's code fingerprint — solo runs are ICOUNT runs, and
-    that file set covers the substrate, ``policies/icount.py`` and
-    ``experiments/runner.py``.
+    same package :func:`code_fingerprint` every cell key embeds.
     """
     payload = {
         "profile": _jsonable(profile),
@@ -399,7 +313,7 @@ def solo_key(profile, scale):
             "warmup": scale.warmup,
         },
         "seed": scale.seed,
-        "code": code_fingerprint("ICOUNT"),
+        "code": code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

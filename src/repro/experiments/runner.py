@@ -582,8 +582,8 @@ def select_workloads(groups, scale):
 
 def baseline_factories():
     """The paper's three baselines (Figures 4/9/10)."""
-    from repro.policies.dcra import DCRAPolicy  # repro: dispatch[DCRA]
-    from repro.policies.flush import FlushPolicy  # repro: dispatch[FLUSH]
+    from repro.policies.dcra import DCRAPolicy
+    from repro.policies.flush import FlushPolicy
 
     return {
         "ICOUNT": ICountPolicy,

@@ -34,9 +34,10 @@ serial in a separate cache and compares the two merged-JSON documents
 byte for byte (surviving cells only, when the preset quarantines by
 design).
 
-This module is test harness, not simulation: nothing inside the sweep
-cache's code-fingerprint closure imports it, so editing a fault model
-invalidates no cached results.
+This module is test harness, not simulation: no code a sweep cell runs
+imports it, so it stays outside the determinism linter's scope.  Like
+any package source it is hashed into the code fingerprint, so editing a
+fault model invalidates every cached result.
 """
 
 import json

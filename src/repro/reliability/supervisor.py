@@ -31,10 +31,11 @@ shared with the ``repro serve`` daemon's leases.  An engine given no
 :class:`Supervision` runs under :data:`FAIL_FAST`: the first failed
 cell raises.
 
-The module is deliberately stdlib-only: it sits inside the sweep cache's
-code-fingerprint closure (``_CORE_SOURCES``), and importing simulation
-modules from here would widen every cell's fingerprint.  All policy about
-*what* a cell is lives in the callbacks the engine provides.
+The module is deliberately stdlib-only: the sweep engine imports it, so
+whatever it imported would join every cell's import closure (the
+determinism linter's scope) and every worker's start-up cost.  All
+policy about *what* a cell is lives in the callbacks the engine
+provides.
 
 Determinism note: supervision changes how results are *produced*, never
 what they are — a retry starts the cell over, or resumes it from its
@@ -68,8 +69,8 @@ from concurrent.futures import (
 #: its dispatch table on it, and a drift test pins docs/PARALLEL.md to
 #: exactly this set.  Service-*specific* events (job/worker lifecycle)
 #: live in :data:`repro.service.protocol.SERVICE_EVENTS` — this module
-#: must stay inside ``_CORE_SOURCES`` without dragging the service tier
-#: into every cell's code fingerprint.
+#: is in every cell's import closure and must not drag the service tier
+#: into it.
 SWEEP_EVENTS = (
     # SweepEngine lifecycle
     "sweep-start",

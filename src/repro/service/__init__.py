@@ -27,9 +27,10 @@ Results are served out of the existing sha256 content-addressed
 :class:`~repro.experiments.parallel.ResultCache`: the service moves
 cache *transport* over HTTP while cache *identity* stays the
 location-independent :func:`~repro.experiments.parallel.cache_key`.
-Nothing inside the sweep cache's code-fingerprint closure imports this
-package (the dependency points strictly service -> engine), so the
-service tier adds zero bytes to any cell's fingerprint.
+No code a sweep cell runs imports this package (the dependency points
+strictly service -> engine), so the service tier cannot change a cached
+cell's bytes.  Like every package source it is still hashed into the
+code fingerprint, so editing it invalidates every cached result.
 
 See docs/SERVICE.md for endpoints, lease/backpressure/quota semantics,
 the failure matrix and the drain/restart walkthrough.

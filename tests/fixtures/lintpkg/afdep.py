@@ -1,3 +1,3 @@
-"""Dependency of the family-A entry."""
+"""Dependency of the family-A policy."""
 
 AF_CONST = 3

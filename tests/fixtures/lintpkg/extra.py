@@ -1,3 +1,3 @@
-"""Leaf module: the seeded closure gap for the fingerprint tests."""
+"""Leaf module, imported eagerly by helper.py and lazily by runner.py."""
 
 EXTRA = 7

@@ -1,4 +1,4 @@
-"""Family-A policy entry (reached only via the dispatch import)."""
+"""Family-A policy (reached only via runner.py's lazy import)."""
 
 from .base import BasePolicy
 from lintpkg.afdep import AF_CONST

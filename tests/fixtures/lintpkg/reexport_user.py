@@ -1,4 +1,4 @@
-"""Imports a re-exported symbol through the package __init__ (FP005)."""
+"""Imports a re-exported symbol through the package __init__."""
 
 from lintpkg import BasePolicy
 

@@ -1,13 +1,13 @@
-"""Fixture sweep entry: eager, lazy, re-export and dispatch imports."""
+"""Fixture sweep entry: eager, lazy and re-export imports."""
 
-from lintpkg import BasePolicy  # repro: allow-reexport[FP005]
+from lintpkg import BasePolicy
 from lintpkg.helper import helper_value
 
 from . import good
 
 
 def make(name):
-    from lintpkg.fam_a import FamAPolicy  # repro: dispatch[A]
+    from lintpkg.fam_a import FamAPolicy
 
     if name == "lazy":
         import lintpkg.extra as extra

@@ -46,6 +46,16 @@ class TestParser:
         out = capsys.readouterr().out
         assert "ICOUNT" in out and "STATIC" in out
 
+    def test_compare_single_seed_is_honoured(self, capsys):
+        def table(*flags):
+            main(["compare", "--workload", "art-mcf", "--scale", "smoke",
+                  "--epochs", "2", "--policies", "ICOUNT"] + list(flags))
+            return capsys.readouterr().out.splitlines()[-1]
+
+        seeds_five = table("--seeds", "5")
+        assert seeds_five == table("--seed", "5")
+        assert seeds_five != table()
+
 
 class TestPolicyFactory:
     def test_baselines(self):

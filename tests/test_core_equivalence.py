@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.controller import EpochController
 from repro.experiments.parallel import (
-    _FAMILY_ENTRIES,
     SweepEngine,
     grid_cells,
     merged_json,
@@ -30,6 +29,7 @@ from repro.experiments.runner import (
     run_policy,
 )
 from repro.pipeline.fastpath import CORE_MODES, forced_core
+from repro.policies import BASELINE_POLICIES
 from repro.reliability.faults import (
     FaultInjector,
     MemoryLatencySpike,
@@ -39,9 +39,10 @@ from repro.reliability.faults import (
 )
 from repro.workloads.mixes import get_workload
 
-#: Every registered policy family (the sweep layer's registry keys), so a
-#: new family cannot land without entering the differential harness.
-FAMILIES = sorted(_FAMILY_ENTRIES)
+#: Every policy family the sweep layer can run (the baseline registry plus
+#: the two hill climbers), so a new baseline cannot land without entering
+#: the differential harness.
+FAMILIES = sorted(BASELINE_POLICIES) + ["HILL", "PHASE-HILL"]
 
 SEEDS = (0, 1, 2)
 

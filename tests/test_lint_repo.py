@@ -1,5 +1,5 @@
-"""Self-check: the four lint passes over the real ``repro`` tree and the
-fail-closed directions from the sweep cache's point of view."""
+"""Self-check: the lint passes over the real ``repro`` tree, the
+determinism scope they police, and their fail-closed directions."""
 
 import os
 import shutil
@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.lint import engine
 from repro.analysis.lint.importgraph import build_graph
-from repro.experiments import parallel
 
 
 # ----------------------------------------------------------------------
@@ -24,11 +23,22 @@ def test_real_tree_is_clean():
 
 def test_determinism_scope_is_the_cached_code():
     graph = build_graph(engine.package_root(), "repro")
-    scope = set(engine.determinism_scope(graph, engine.repo_spec()))
-    # everything a cache key hashes must be in scope ...
+    scope = set(engine.determinism_scope(graph))
+    # every module a sweep cell can import must be in scope: the run
+    # machinery, all eight baselines (reached through the registry in
+    # policies/__init__.py), the hill climbers and their phase support,
+    # checkpoints and trace replay ...
     assert {"pipeline/processor.py", "workloads/generator.py",
-            "core/hill_climbing.py", "experiments/parallel.py",
-            "experiments/runner.py", "reliability/supervisor.py"} <= scope
+            "experiments/parallel.py", "experiments/runner.py",
+            "reliability/supervisor.py", "pipeline/checkpoint.py",
+            "workloads/tracefile.py"} <= scope
+    assert {"policies/%s.py" % name for name in (
+        "icount", "fpg", "stall", "flush", "stall_flush", "dg", "dcra",
+        "static_partition")} <= scope
+    assert {"core/hill_climbing.py", "core/phase_hill.py",
+            "core/partition.py"} <= scope
+    phase = {rel for rel in graph.files if rel.startswith("phase/")}
+    assert phase and phase <= scope
     # ... plus the service tier's result-path files ...
     assert set(engine.SERVICE_RESULT_PATH) <= scope
     # ... and code that never feeds a cached result is not policed
@@ -39,36 +49,6 @@ def test_determinism_scope_is_the_cached_code():
     # service __init__ is docstring-only
     assert "service/loadtest.py" not in scope
     assert "service/__init__.py" not in scope
-
-
-def test_deleting_a_policy_source_fails_the_audit(monkeypatch):
-    doctored = dict(parallel._POLICY_SOURCES)
-    doctored["DCRA"] = ()
-    monkeypatch.setattr(parallel, "_POLICY_SOURCES", doctored)
-    findings = engine.run_repo_lint(select=("FP001",))
-    assert any(f.path == "policies/dcra.py" for f in findings)
-
-
-def test_deleting_a_core_source_fails_the_audit(monkeypatch):
-    trimmed = tuple(rel for rel in parallel._CORE_SOURCES
-                    if rel != "reliability/supervisor.py")
-    monkeypatch.setattr(parallel, "_CORE_SOURCES", trimmed)
-    findings = engine.run_repo_lint(select=("FP001",))
-    assert any(f.path == "reliability/supervisor.py" for f in findings)
-
-
-def test_new_unlisted_import_fails_the_audit(tmp_path):
-    # Copy the package, grow policies/dcra.py a dependency the
-    # fingerprint lists don't know about, and re-audit the copy.
-    copy_root = str(tmp_path / "repro")
-    shutil.copytree(engine.package_root(), copy_root)
-    dcra = os.path.join(copy_root, "policies", "dcra.py")
-    with open(dcra, "a", encoding="utf-8") as handle:
-        handle.write("\nfrom repro.core.offline import share_grid\n")
-    graph = build_graph(copy_root, "repro")
-    findings = engine.PASSES["fingerprints"](copy_root, graph)
-    assert any(f.rule == "FP001" and f.path == "core/offline.py"
-               and "dcra.py" in f.message for f in findings)
 
 
 # ----------------------------------------------------------------------
@@ -125,24 +105,43 @@ def test_stripping_a_waiver_justification_fails_closed(tmp_path):
     assert any(f.rule == "AS304" for f in findings)
 
 
+def test_new_import_of_nondeterministic_code_fails_closed(tmp_path):
+    # The chaos harness reads the wall clock and sits outside the scope;
+    # a policy module that starts importing it pulls it in.
+    graph = build_graph(engine.package_root(), "repro")
+    assert "reliability/chaos.py" not in engine.determinism_scope(graph)
+    copy_root = _doctored_tree(
+        tmp_path, "policies/dcra.py",
+        lambda src: src + "\nfrom repro.reliability.chaos import HangCell\n")
+    graph = build_graph(copy_root, "repro")
+    findings = engine.PASSES["determinism"](copy_root, graph)
+    assert any(f.rule == "ND101" and f.path == "reliability/chaos.py"
+               for f in findings)
+
+
 # ----------------------------------------------------------------------
-# The import-graph closure against the hashed hand lists
+# The import-graph closure of a sweep cell
 # ----------------------------------------------------------------------
 
 
 def test_graph_mode_closure_contains_the_true_positives():
-    root = engine.package_root()
-    closure = build_graph(root, "repro").closure(
-        parallel._CORE_ENTRIES + parallel._FAMILY_ENTRIES["HILL"])
-    # core/partition.py was the missing-coverage bug the auditor caught.
-    assert "core/partition.py" in closure
+    closure = build_graph(engine.package_root(), "repro").closure(
+        engine.CELL_ENTRIES)
+    # The hill climbers, imported lazily by policy_factory, and their
+    # share-vector helper are cell code.
+    assert {"core/hill_climbing.py", "core/partition.py"} <= closure
     assert "reliability/supervisor.py" in closure
+    # The baselines are reached only through the BASELINE_POLICIES
+    # registry, so the imported policies/__init__.py is traversed.
+    assert "policies/static_partition.py" in closure
     # Cells run the one epoch loop in experiments/runner.py; the guard
     # module is only a name kept for perfbench's tracer.
     assert "reliability/guard.py" not in closure
-    assert "policies/dcra.py" not in closure  # family isolation holds
-    # The hand lists HILL's fingerprint hashes cover the whole closure.
-    assert closure <= set(parallel._fingerprint_files(root, "HILL"))
+    # An ancestor __init__ is included but not traversed, so the
+    # harnesses it re-exports stay out.
+    assert "reliability/__init__.py" in closure
+    assert "reliability/chaos.py" not in closure
+    assert "cli.py" not in closure
 
 
 # ----------------------------------------------------------------------

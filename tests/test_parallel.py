@@ -4,8 +4,8 @@ The acceptance contract of docs/PARALLEL.md, as tests:
 
 * ``jobs=4`` merged JSON is byte-identical to ``jobs=1``;
 * a warm re-run is pure cache hits and returns equal results;
-* cache keys shift when the machine config, the epoch schedule, or the
-  policy family's source code changes — and only for the affected family;
+* cache keys shift when the machine config, the epoch schedule, or any
+  source file of the package changes;
 * a sweep killed mid-cell resumes from its per-epoch checkpoints and
   finishes with metrics identical to an uninterrupted run.
 """
@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 import time
 
@@ -34,6 +35,7 @@ from repro.experiments.parallel import (
     grid_cells,
     merged_json,
     pool_map,
+    solo_key,
 )
 from repro.experiments.export import _jsonable
 from repro.experiments.runner import ExperimentScale, RunResult
@@ -157,31 +159,6 @@ class TestCache:
         assert cache_key(pinned, scale.with_overrides(epochs=2)) \
             != cache_key(pinned, scale.with_overrides(epochs=5))
 
-    def test_code_fingerprint_invalidates_only_its_family(self, scale,
-                                                          tmp_path,
-                                                          monkeypatch):
-        fake = tmp_path / "fake_policy.py"
-        fake.write_text("TUNING = 1\n")
-        monkeypatch.setitem(parallel._POLICY_SOURCES, "DCRA",
-                            ("policies/dcra.py",
-                             os.path.relpath(str(fake),
-                                             parallel._package_root())))
-        # Drop memo entries built from the patched source map, even if an
-        # assertion below fails — later tests hash the real tree.
-        try:
-            clear_fingerprint_memo()
-            dcra = SweepCell(workload="art-mcf", policy="DCRA")
-            icount = SweepCell(workload="art-mcf", policy="ICOUNT")
-            dcra_before = cache_key(dcra, scale)
-            icount_before = cache_key(icount, scale)
-
-            fake.write_text("TUNING = 2\n")
-            clear_fingerprint_memo()
-            assert cache_key(dcra, scale) != dcra_before
-            assert cache_key(icount, scale) == icount_before
-        finally:
-            clear_fingerprint_memo()
-
     def test_corrupt_entries_count_as_misses(self, scale, tmp_path):
         cell = small_grid()[0]
         cache_dir = str(tmp_path / "cache")
@@ -235,7 +212,7 @@ def payload_key(cell, scale):
             "solo_epochs": scale.epochs,
             "warmup": scale.warmup,
         },
-        "code": code_fingerprint(cell.policy),
+        "code": code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -433,13 +410,54 @@ def _square(value):
 
 
 class TestFingerprint:
-    def test_families_share_substrate_but_differ(self):
-        icount = code_fingerprint("ICOUNT")
-        dcra = code_fingerprint("DCRA")
-        hill = code_fingerprint("HILL")
-        assert len({icount, dcra, hill}) == 3
-        assert code_fingerprint("HILL-IPC") == hill
-        assert code_fingerprint("hill") == hill
+    def test_digest_covers_every_package_source(self, scale, tmp_path,
+                                                monkeypatch):
+        # Hash a copy of the package so the edits below touch no real
+        # source; the memo is cleared before every digest.
+        root = tmp_path / "repro"
+        shutil.copytree(parallel._package_root(), str(root),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(parallel, "_package_root", lambda: str(root))
+        cells = [SweepCell(workload="art-mcf", policy=canonical_policy(name))
+                 for name in sorted(BASELINE_POLICIES)
+                 + ["HILL", "PHASE-HILL"]]
+        profile = get_workload("art-mcf").profiles[0]
+
+        def keys():
+            clear_fingerprint_memo()
+            digest = code_fingerprint()
+            for cell in cells:
+                assert cache_key(cell, scale) == payload_key(cell, scale)
+            return digest, {cache_key(cell, scale) for cell in cells}, \
+                solo_key(profile, scale)
+
+        def append(rel, text):
+            with open(str(root / rel), "a", encoding="utf-8") as handle:
+                handle.write(text)
+
+        edits = [
+            ("policy module", "policies/dcra.py", "\nTUNING = 2\n", True),
+            ("cli", "cli.py", "\n# edited\n", True),
+            ("new module", "policies/new_family.py", "X = 1\n", True),
+            ("non-source file", "notes.txt", "draft\n", False),
+            ("non-source edit", "notes.txt", "more\n", False),
+        ]
+        try:
+            digest, cell_keys, solo = keys()
+            # One digest for every family: each cell has its own key.
+            assert len(cell_keys) == len(cells)
+            for label, rel, text, changes in edits:
+                append(rel, text)
+                after = keys()
+                if changes:
+                    assert after[0] != digest, label
+                    assert after[1].isdisjoint(cell_keys), label
+                    assert after[2] != solo, label
+                else:
+                    assert after == (digest, cell_keys, solo), label
+                digest, cell_keys, solo = after
+        finally:
+            clear_fingerprint_memo()
 
 
 # -- supervision satellites -------------------------------------------------
